@@ -127,29 +127,32 @@ def engine_end_to_end(points, peak_rss_kb):
     }
 
 
-def serve_end_to_end(requests, stream_wall_s, setups_s, peak_rss_kb):
+def serve_end_to_end(requests, pass_walls_s, setups_s, peak_rss_kb):
     """End-to-end metrics of the serve workload.
 
-    requests: one dict per request of the whole stream, with latency_s
-    and the parsed report; the simulated results are summed over it.
-    Whole-stream figures, not per-pass ones: the closed loop's tail
-    (the last few long requests of a pass) then counts once, not once
-    per pass.
+    requests: one dict per request of every pass, with latency_s and
+    the parsed report; every pass sends the same pool, so a pass's
+    share of the simulated results is the sum over all passes divided
+    by their number. pass_walls_s: the wall time of each pass, from
+    its first send to its last answer. Throughput is per pass at the
+    median pass wall; latency percentiles pool every request.
     """
+    passes = len(pass_walls_s)
     latencies = [r["latency_s"] for r in requests]
     reports = [r["report"] for r in requests]
+    wall = statistics.median(pass_walls_s)
     return {
-        "wall_s": stream_wall_s,
+        "wall_s": wall,
         "setup_s": statistics.median(setups_s),
         "tile_cycles_per_s":
-            sum(_tile_cycles(r) for r in reports) / stream_wall_s,
-        "req_per_s": len(requests) / stream_wall_s,
+            sum(_tile_cycles(r) for r in reports) / passes / wall,
+        "req_per_s": len(requests) / passes / wall,
         "req_p50_ms": 1e3 * percentile(latencies, 50),
         "req_p90_ms": 1e3 * percentile(latencies, 90),
         "peak_rss_mb": peak_rss_kb / 1024.0,
-        "sim_cycles": sum(r["stats"]["cycles"] for r in reports),
+        "sim_cycles": sum(r["stats"]["cycles"] for r in reports) / passes,
         "sim_energy_uj": 1e6 * sum(r["energy"]["total_j"]
-                                   for r in reports),
+                                   for r in reports) / passes,
     }
 
 

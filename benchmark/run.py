@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """The repository benchmark: end-to-end and per-layer metrics of the
-Dalorex simulator on three workloads (see benchmark/README.md).
+Dalorex simulator on two workloads (see benchmark/README.md).
 
     python3 benchmark/run.py --workload dense-8x8-t1 --seed 1 \\
-        --seconds 40 --trace 0
+        --seconds 45 --trace 0
 
 Run it from the repository root. It builds the simulator and the
 benchmark's dlxbench program from source into $CARGO_TARGET_DIR (default
@@ -39,30 +39,36 @@ RUN_BUDGET_S = 165.0
 KERNELS = ("bfs", "wcc", "pagerank", "sssp", "sssp-delta", "spmv",
            "kcore", "histogram", "triangle")
 
-# point_seconds calibrates how many scenarios fill --seconds: the
-# amount of work is fixed by (--seed, --seconds), never by how fast
-# this build happens to run, so two builds always measure the same
-# inputs. Measured on a 4-core x86 host, g++ 12, Release.
+# point_seconds and pass_seconds calibrate how much work fills
+# --seconds: the amount of work is fixed by (--seed, --seconds), never
+# by how fast this build happens to run, so two builds always measure
+# the same inputs. Measured on a 4-core x86 host, g++ 12, Release,
+# with a margin for a slower host.
+#
+# Both workloads spread their work over several processes (rounds of
+# the engine scenarios, passes of the serve stream): on the reference
+# host one process ran the same scenario up to a third slower than the
+# next, and medians over processes average that out.
 WORKLOADS = {
     "dense-8x8-t1": {
-        "kind": "engine", "kernel": "bfs", "scale": 14, "grid": 8,
-        "engine_threads": 1, "point_seconds": 0.3,
+        "kind": "engine", "kernel": "spmv", "scale": 14, "grid": 8,
+        "engine_threads": 1, "rounds": 5, "point_seconds": 0.36,
     },
     "serve-mixed": {
-        "kind": "serve", "grids": (8, 16), "scales": (10, 11, 12),
-        "dataset_seeds": 2, "workers": 2, "connections": 4,
-        "pass_seconds": 9.5, "setups": 9, "cli_samples": 3,
-        "replica_per_kernel": 3,
+        "kind": "serve", "grids": (4, 8), "scales": (9, 10, 11),
+        "dataset_seeds": 4, "seeds_per_point": 2, "workers": 2,
+        "connections": 4, "pass_seconds": 3.5, "setups": 21,
+        "cli_samples": 3, "replica_per_kernel": 3,
     },
 }
 
-# --tiny: the same three workloads shrunk to seconds in total, for the
+# --tiny: the same two workloads shrunk to seconds in total, for the
 # self-tests. Not a measurement.
 TINY = {
-    "dense-8x8-t1": {"scale": 9, "grid": 4, "points": 2},
+    "dense-8x8-t1": {"scale": 9, "grid": 4, "points": 2, "rounds": 2},
     "serve-mixed": {"grids": (4,), "scales": (8,), "dataset_seeds": 1,
-                    "passes": 1, "setups": 2, "cli_samples": 1,
-                    "replica_per_kernel": 1},
+                    "seeds_per_point": 1, "passes": 2, "setups": 3,
+                    "cli_samples": 1, "replica_per_kernel": 1},
 }
 
 
@@ -253,82 +259,87 @@ def engine_flags(wl, dataset_seed):
 
 def engine_points(name, wl, seed, seconds):
     """The workload's scenarios for (seed, seconds), one dataset seed
-    each. Every scenario runs twice per run: untraced twice, or
-    untraced then traced."""
-    count = wl.get("points") or max(2, round(seconds /
-                                             (2 * wl["point_seconds"])))
+    each. Untraced, every scenario runs once in each of the rounds."""
+    count = wl.get("points") or max(2, round(
+        seconds / (wl["rounds"] * wl["point_seconds"])))
     rng = random.Random(f"{name}:{seed}")
     return [engine_flags(wl, rng.randrange(1, 2**31))
             for _ in range(count)]
 
 
-def best_of(runs):
-    """Per-scenario times as the fastest of its untraced runs: host
-    interference only ever adds time, and on a shared host it comes
-    in bursts of seconds that rarely hit both runs of a scenario."""
-    return {"wall_s": min(r["wall_s"] for r in runs),
-            "setup_s": min(r["setup_s"] for r in runs),
-            "run_s": min(r["run_s"] for r in runs),
+def median_of(runs):
+    """Per-scenario times as the median over its rounds, each in a
+    process of its own."""
+    return {"wall_s": statistics.median(r["wall_s"] for r in runs),
+            "setup_s": statistics.median(r["setup_s"] for r in runs),
+            "run_s": statistics.median(r["run_s"] for r in runs),
             "report": runs[0]["report"]}
 
 
 def run_engine(name, wl, args, tools, scratch, store, deadline):
     dlxbench, _ = tools
     flags = engine_points(name, wl, args.seed, args.seconds)
-    n = len(flags)
-    # Untraced, the list runs twice over (so the two runs of a
-    # scenario are seconds apart); traced, dlxbench runs each line
-    # untraced then traced.
-    lines = flags if args.trace else flags + flags
     points_path = os.path.join(scratch, "points.txt")
     with open(points_path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join(flags) + "\n")
     spans_path = os.path.join(scratch, "spans.json")
-    records, rss_kb = run_dlxbench(
-        [dlxbench, "points", "--file", points_path, "--trace",
-         str(args.trace), "--spans", spans_path],
-        scratch, deadline)
+    # Untraced, every round is one dlxbench process over the list;
+    # traced, one process runs each line untraced then traced.
+    rounds = 1 if args.trace else wl["rounds"]
 
     checks = Checks()
     runs = [[] for _ in flags]
-    oracle = None
-    for rec in records:
-        rid = f"{rec['kind']}{rec['point']}{'t' if rec['traced'] else ''}"
-        rec["rid"] = rid
-        rec["report"] = (json.loads(rec["payload"]) if rec["payload"]
-                         else None)
-        checks.attempt(rid, rec["ok"] and rec["report"] is not None and
-                       metrics.report_ok(rec["report"]),
-                       rec["error"] or "not completed and validated")
-        rec["wall_s"] = (rec["end_ns"] - rec["start_ns"]) * 1e-9
-        rec["setup_s"] = (rec["run_start_ns"] - rec["start_ns"]) * 1e-9
-        rec["run_s"] = (rec["run_end_ns"] - rec["run_start_ns"]) * 1e-9
-        if rec["kind"] == "oracle":
-            oracle = rec
-        else:
-            runs[rec["point"] % n].append(rec)
-    if oracle is None or any(len(r) != 2 for r in runs):
+    rss_kb = []
+    for round_ in range(rounds):
+        records, rss = run_dlxbench(
+            [dlxbench, "points", "--file", points_path, "--trace",
+             str(args.trace), "--spans", spans_path],
+            scratch, deadline)
+        rss_kb.append(rss)
+        oracle = None
+        for rec in records:
+            rid = (f"{rec['kind']}{rec['point']}"
+                   f"{'t' if rec['traced'] else ''}r{round_}")
+            rec["rid"] = rid
+            rec["report"] = (json.loads(rec["payload"]) if rec["payload"]
+                             else None)
+            checks.attempt(rid, rec["ok"] and rec["report"] is not None
+                           and metrics.report_ok(rec["report"]),
+                           rec["error"] or "not completed and validated")
+            rec["wall_s"] = (rec["end_ns"] - rec["start_ns"]) * 1e-9
+            rec["setup_s"] = (rec["run_start_ns"] - rec["start_ns"]) * 1e-9
+            rec["run_s"] = (rec["run_end_ns"] - rec["run_start_ns"]) * 1e-9
+            if rec["kind"] == "oracle":
+                oracle = rec
+            else:
+                runs[rec["point"]].append(rec)
+        first = [r for r in runs[0] if r["rid"] == f"point0r{round_}"]
+        if oracle is None or not first:
+            fail("dlxbench reported fewer runs than it was given")
+        # cli::runScenario itself must render what the staged run
+        # renders.
+        if oracle["ok"] and oracle["payload"] != first[0]["payload"]:
+            checks.mark(oracle["rid"], "cli::runScenario report differs "
+                        "from the staged run of the same point")
+    if any(len(r) != (2 if args.trace else rounds) for r in runs):
         fail("dlxbench reported fewer runs than it was given")
     if checks.failed:
         return checks, None
 
-    # cli::runScenario itself must render what the staged run renders.
-    if oracle["payload"] != runs[0][0]["payload"]:
-        checks.mark("oracle0", "cli::runScenario report differs from "
-                    "the staged run of the same point")
-    for flag_line, pair in zip(flags, runs):
+    for flag_line, group in zip(flags, runs):
         compare_group(checks, store, "identity", flag_line,
-                      [(r["rid"], r["report"]) for r in pair])
+                      [(r["rid"], r["report"]) for r in group])
 
     if not args.trace:
-        say_samples(n)
+        say_samples(len(flags))
         return checks, metrics.engine_end_to_end(
-            [best_of(pair) for pair in runs], rss_kb)
+            [median_of(group) for group in runs],
+            statistics.median(rss_kb))
 
-    points = [pair[0] for pair in runs]
+    points = [r for group in runs for r in group if not r["traced"]]
     with open(spans_path) as handle:
         spans = json.load(handle)["spans"]
-    traced_points = [pair[1] for pair in runs]
+    traced_points = [r for group in runs for r in group if r["traced"]]
     reports = [p["report"] for p in traced_points]
     layer = {
         "graph.dataset_ms": 1e3 * statistics.median(
@@ -375,14 +386,19 @@ def print_self_times(spans):
 # --- serve workload ------------------------------------------------------------
 
 def serve_pool(name, wl, seed):
-    """Every (kernel, grid, scale, dataset seed) point once; the two
-    dataset seeds come from --seed."""
+    """Every (kernel, grid, scale) combination on seeds_per_point of
+    the dataset seeds, which come from --seed and take turns over the
+    combinations: each seed meets every kernel and scale, and the cost
+    of a pool averages over that many graphs per scale."""
     rng = random.Random(f"{name}:{seed}")
     dataset_seeds = [rng.randrange(1, 2**31)
                      for _ in range(wl["dataset_seeds"])]
-    return [{"kernel": k, "grid": g, "scale": s, "seed": d}
-            for k in KERNELS for g in wl["grids"] for s in wl["scales"]
-            for d in dataset_seeds]
+    per = wl["seeds_per_point"]
+    combos = [(k, g, s) for k in KERNELS for g in wl["grids"]
+              for s in wl["scales"]]
+    return [{"kernel": k, "grid": g, "scale": s,
+             "seed": dataset_seeds[(per * i + j) % len(dataset_seeds)]}
+            for i, (k, g, s) in enumerate(combos) for j in range(per)]
 
 
 def point_key(p):
@@ -541,24 +557,35 @@ def run_serve(name, wl, args, tools, scratch, store, deadline):
     _, dalorex = tools
     pool, stream = serve_stream(name, wl, args.seed, args.seconds)
     lines = [request_line(i, p) for i, p in enumerate(stream)]
+    passes = len(stream) // len(pool)
     sock_path = os.path.join(os.path.relpath(args.build_dir), "serve.sock")
     checks = Checks()
 
+    # Every pass runs on a daemon of its own, started cold; the
+    # launches before the first pass only time set-up.
     proc = None
     try:
         with open(os.path.join(scratch, "daemon.log"), "w") as log:
             setups = []
-            for n in range(wl["setups"]):
+            for _ in range(max(0, wl["setups"] - passes)):
                 proc, channel, ready = launch_daemon(
                     dalorex, sock_path, wl["workers"], log, deadline)
                 setups.append(ready)
-                if n + 1 < wl["setups"]:
-                    stop_daemon(proc, channel, deadline)
-            records = closed_loop(sock_path, lines, wl["connections"],
-                                  deadline)
-            channel.send('{"type":"stats","id":"s"}')
-            daemon_stats = json.loads(channel.recv_line())["stats"]
-            rss_kb = stop_daemon(proc, channel, deadline)
+                stop_daemon(proc, channel, deadline)
+            records, pass_walls, daemon_stats, rss_kb = [], [], [], []
+            for n in range(passes):
+                proc, channel, ready = launch_daemon(
+                    dalorex, sock_path, wl["workers"], log, deadline)
+                setups.append(ready)
+                part = closed_loop(
+                    sock_path, lines[n * len(pool):(n + 1) * len(pool)],
+                    wl["connections"], deadline)
+                pass_walls.append(max(r["answered"] for r in part) -
+                                  min(r["sent"] for r in part))
+                records += part
+                channel.send('{"type":"stats","id":"s"}')
+                daemon_stats.append(json.loads(channel.recv_line())["stats"])
+                rss_kb.append(stop_daemon(proc, channel, deadline))
     except BaseException:
         if proc is not None and proc.returncode is None:
             proc.kill()
@@ -598,15 +625,15 @@ def run_serve(name, wl, args, tools, scratch, store, deadline):
                        out.returncode == 0 and out.stdout == payload + "\n",
                        f"dalorex --json differs from served {rid}")
 
-    say(f"daemon stats: runs_completed {daemon_stats['runs_completed']} "
-        f"runs_failed {daemon_stats['runs_failed']} dataset_cache "
-        f"{json.dumps(daemon_stats['dataset_cache'])}")
+    for n, stats in enumerate(daemon_stats):
+        say(f"pass {n} daemon stats: runs_completed "
+            f"{stats['runs_completed']} runs_failed {stats['runs_failed']}"
+            f" dataset_cache {json.dumps(stats['dataset_cache'])}")
+    say(f"pass walls (s): {' '.join(f'{w:.3f}' for w in pass_walls)}")
     say(f"setup samples (s): {' '.join(f'{s:.6f}' for s in setups)}")
     say_samples(len(served))
-    stream_wall = (max(r["answered"] for r in served) -
-                   min(r["sent"] for r in served))
-    return checks, metrics.serve_end_to_end(served, stream_wall, setups,
-                                            rss_kb)
+    return checks, metrics.serve_end_to_end(served, pass_walls, setups,
+                                            statistics.median(rss_kb))
 
 
 def run_serve_traced(name, wl, args, tools, scratch, store, deadline):
@@ -722,7 +749,7 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, default=1,
                         help="workload seed: every input derives from "
                              "it (default 1; held-out seed: 1001)")
-    parser.add_argument("--seconds", type=int, default=40,
+    parser.add_argument("--seconds", type=int, default=45,
                         help="target measuring time; sets the amount "
                              "of work")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,

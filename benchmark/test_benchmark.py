@@ -3,8 +3,8 @@
     python3 -m unittest discover -s benchmark -p 'test_*.py'
 
 Run from the repository root. The last tests build dlxbench (if not
-built yet) and run all three workloads at --tiny size, which takes
-seconds once the build exists.
+built yet) and run both workloads at --tiny size, which takes seconds
+once the build exists.
 """
 
 import json
@@ -88,17 +88,26 @@ class MetricDerivation(unittest.TestCase):
         self.assertEqual(m["peak_rss_mb"], 2.0)
         self.assertEqual(m["sim_cycles"], 200)
 
-    def test_serve_end_to_end_sums_the_stream(self):
+    def test_serve_end_to_end_is_per_pass(self):
+        # Two passes of five requests each, at pass walls 2 s and 3 s.
         requests = [{"latency_s": 0.1 * i, "report": fake_report(10)}
                     for i in range(1, 11)]
-        m = metrics.serve_end_to_end(requests, 5.0, [0.01, 0.03, 0.02],
-                                     1024)
-        self.assertEqual(m["req_per_s"], 2.0)
+        m = metrics.serve_end_to_end(requests, [2.0, 3.0],
+                                     [0.01, 0.03, 0.02], 1024)
+        self.assertEqual(m["wall_s"], 2.5)
+        self.assertEqual(m["req_per_s"], 5 / 2.5)
         self.assertEqual(m["setup_s"], 0.02)
-        self.assertEqual(m["tile_cycles_per_s"], 100 * 16 / 5.0)
-        self.assertEqual(m["sim_cycles"], 100)
+        self.assertEqual(m["tile_cycles_per_s"], 50 * 16 / 2.5)
+        self.assertEqual(m["sim_cycles"], 50)
         self.assertAlmostEqual(m["req_p50_ms"], 550.0)
-        self.assertAlmostEqual(m["sim_energy_uj"], 10.0)
+        self.assertAlmostEqual(m["sim_energy_uj"], 5.0)
+
+    def test_engine_scenario_times_are_medians_over_rounds(self):
+        runs = [{"wall_s": w, "setup_s": w / 10, "run_s": w / 2,
+                 "report": fake_report(10)} for w in (3.0, 1.0, 2.0)]
+        m = run.median_of(runs)
+        self.assertEqual((m["wall_s"], m["setup_s"], m["run_s"]),
+                         (2.0, 0.2, 1.0))
 
     def test_counter_ratios_are_ratios_of_sums(self):
         reports = [fake_report(10, scans=10, saved=0),
@@ -172,7 +181,13 @@ class SpecAndInputs(unittest.TestCase):
         wl = run.WORKLOADS["serve-mixed"]
         pool, stream = run.serve_stream("serve-mixed", wl, 1, 30)
         self.assertEqual({p["kernel"] for p in pool}, set(run.KERNELS))
-        self.assertEqual(len({p["seed"] for p in pool}), 2)
+        seeds = {p["seed"] for p in pool}
+        self.assertEqual(len(seeds), wl["dataset_seeds"])
+        # Every dataset seed meets every kernel and every scale.
+        for seed in seeds:
+            mine = [p for p in pool if p["seed"] == seed]
+            self.assertEqual({p["kernel"] for p in mine}, set(run.KERNELS))
+            self.assertEqual({p["scale"] for p in mine}, set(wl["scales"]))
         self.assertEqual(len(stream) % len(pool), 0)
         self.assertEqual(stream, run.serve_stream("serve-mixed", wl, 1,
                                                   30)[1])
