@@ -8,12 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <fstream>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "common/stats.hh"
 #include "graph/csr.hh"
 #include "graph/datasets.hh"
+#include "graph/graphio.hh"
 #include "graph/rmat.hh"
 
 namespace dalorex
@@ -130,6 +135,147 @@ TEST(Csr, InvariantsPanicOnCorruption)
     Csr g = buildCsr(3, {{0, 1}, {1, 2}});
     g.rowPtr[1] = 99;
     EXPECT_DEATH(g.checkInvariants(), "monoton|out of range|must");
+}
+
+// --- golden digests ---------------------------------------------------
+//
+// FNV-1a digests of every graph the generators and converters build,
+// pinned so any change to CSR construction that alters a single byte
+// of rowPtr, colIdx or weights fails here, not in a downstream report.
+
+/** FNV-1a, 64-bit, over a run of bytes, chained through `h`. */
+std::uint64_t
+fnv1a(std::uint64_t h, const void* data, std::size_t size)
+{
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+        h ^= bytes[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+constexpr std::uint64_t fnvBasis = 0xcbf29ce484222325ull;
+
+template <typename T>
+std::uint64_t
+fnv1a(std::uint64_t h, const std::vector<T>& xs)
+{
+    const std::uint64_t n = xs.size();
+    h = fnv1a(h, &n, sizeof n);
+    return fnv1a(h, xs.data(), xs.size() * sizeof(T));
+}
+
+std::uint64_t
+digest(const Csr& g)
+{
+    return fnv1a(fnv1a(fnv1a(fnvBasis, g.rowPtr), g.colIdx), g.weights);
+}
+
+std::uint64_t
+digest(const EdgeList& edges)
+{
+    std::uint64_t h = fnvBasis;
+    for (const auto& [u, v] : edges) {
+        h = fnv1a(h, &u, sizeof u);
+        h = fnv1a(h, &v, sizeof v);
+    }
+    return h;
+}
+
+std::string
+writeFixture(const std::string& name, const std::string& content)
+{
+    const std::string path = ::testing::TempDir() + "graph_test_" + name;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << content;
+    return path;
+}
+
+Csr
+readFixture(const std::string& path, const TextReadOptions& opts = {})
+{
+    const TextGraphResult r = readTextGraph(path, opts);
+    EXPECT_TRUE(r.ok) << r.error;
+    return r.dataset.graph;
+}
+
+/** A weighted graph with parallel edges (differing weights) and self
+ *  loops, relabeled by a seeded random permutation. */
+Csr
+permutedWeightedMultigraph()
+{
+    Rng rng(77);
+    EdgeList edges;
+    for (int i = 0; i < 600; ++i)
+        edges.emplace_back(static_cast<VertexId>(rng.below(40)),
+                           static_cast<VertexId>(rng.below(40)));
+    CsrBuildOptions keep_all;
+    keep_all.removeSelfLoops = false;
+    keep_all.dedup = false;
+    Csr g = buildCsr(40, edges, keep_all);
+    addRandomWeights(g, rng, 1, 9);
+    std::vector<VertexId> perm(40);
+    for (VertexId v = 0; v < 40; ++v)
+        perm[v] = v;
+    for (VertexId v = 39; v > 0; --v)
+        std::swap(perm[v], perm[rng.below(v + 1)]);
+    return permuteVertices(g, perm);
+}
+
+TEST(GoldenDigest, RmatEdgesAndGraphs)
+{
+    RmatParams params;
+    params.scale = 10;
+    params.seed = 1;
+    EXPECT_EQ(digest(rmatEdges(params)), 0xf0b3d154313df5f9ull);
+    EXPECT_EQ(digest(rmatGraph(params)), 0x2aa13978ff4252d7ull);
+    EXPECT_EQ(digest(symmetrize(rmatGraph(params))), 0x5daa47d695e83217ull);
+    params.seed = 2;
+    EXPECT_EQ(digest(rmatEdges(params)), 0x9c2f01b3bc5d494dull);
+    EXPECT_EQ(digest(rmatGraph(params)), 0x0ae9505b405a36b3ull);
+}
+
+TEST(GoldenDigest, NamedDatasets)
+{
+    EXPECT_EQ(digest(makeDatasetAt("amazon", 10).graph),
+              0xe1fd611932228bcaull);
+    EXPECT_EQ(digest(makeDatasetAt("wiki", 10).graph), 0x51af5f4293a394feull);
+    EXPECT_EQ(digest(makeDatasetAt("livejournal", 10).graph),
+              0x90c2c245cb476d2bull);
+}
+
+TEST(GoldenDigest, PermutedWeightedMultigraph)
+{
+    const Csr p = permutedWeightedMultigraph();
+    ASSERT_TRUE(p.weighted());
+    EXPECT_EQ(p.numEdges, 600u);
+    EXPECT_EQ(digest(p), 0x15c074ea0b7e73edull);
+}
+
+TEST(GoldenDigest, TextGraphs)
+{
+    const std::string el = writeFixture(
+        "golden.el", "0 1\n1 2\n2 0\n2 2\n1 2\n3 1\n0 3\n3 1\n5 4\n");
+    EXPECT_EQ(digest(readFixture(el)), 0x6167ffdbfa0cd072ull);
+    TextReadOptions sym;
+    sym.symmetrize = true;
+    EXPECT_EQ(digest(readFixture(el, sym)), 0x8f3dca3fe449979eull);
+
+    // Duplicate entries carry different weights, in both orders, so
+    // the smallest-weight-first rule is pinned along with the layout.
+    const std::string mtx = writeFixture(
+        "golden.mtx", "%%MatrixMarket matrix coordinate real general\n"
+                      "5 5 10\n"
+                      "1 2 7.0\n2 3 4.0\n1 2 3.0\n3 1 9.0\n"
+                      "3 1 2.0\n3 1 5.0\n4 4 6.0\n5 2 1.0\n"
+                      "2 3 8.0\n1 5 2.5\n");
+    EXPECT_EQ(digest(readFixture(mtx)), 0x9aaf740086cd0c06ull);
+    TextReadOptions keep_all;
+    keep_all.removeSelfLoops = false;
+    keep_all.dedup = false;
+    EXPECT_EQ(digest(readFixture(mtx, keep_all)), 0x2b599902d9c92b2aull);
+    EXPECT_EQ(digest(readFixture(mtx, sym)), 0x198a9331e413d82dull);
 }
 
 TEST(Rmat, DeterministicBySeed)
