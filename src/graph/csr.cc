@@ -1,6 +1,7 @@
 #include "graph/csr.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 
@@ -24,41 +25,134 @@ Csr::checkInvariants() const
         panic_if(dst >= numVertices, "colIdx out of range: ", dst);
 }
 
+namespace
+{
+
+/** A weighted slot sorts as one (destination, weight) integer, so the
+ *  first of a run of parallel edges carries the smallest weight. */
+std::uint64_t
+packSlot(VertexId dst, Word w)
+{
+    return (std::uint64_t(dst) << 32) | w;
+}
+
+VertexId slotDst(VertexId slot) { return slot; }
+
+VertexId
+slotDst(std::uint64_t slot)
+{
+    return static_cast<VertexId>(slot >> 32);
+}
+
+/**
+ * Sort every row of `slots` (row starts in rowPtr) and, when `dedup`,
+ * keep only the first slot of each run with one destination,
+ * compacting the rows in place and rewriting rowPtr to match.
+ * Returns the number of slots kept.
+ */
+template <typename Slot>
+EdgeId
+sortRows(std::vector<EdgeId>& row_ptr, std::vector<Slot>& slots,
+         bool dedup)
+{
+    EdgeId kept = 0;
+    EdgeId begin = 0;
+    for (std::size_t v = 0; v + 1 < row_ptr.size(); ++v) {
+        const EdgeId end = row_ptr[v + 1];
+        std::sort(slots.begin() + begin, slots.begin() + end);
+        if (!dedup) {
+            begin = end;
+            continue;
+        }
+        row_ptr[v] = kept;
+        for (EdgeId i = begin; i < end; ++i) {
+            if (kept > row_ptr[v] &&
+                slotDst(slots[kept - 1]) == slotDst(slots[i]))
+                continue;
+            slots[kept++] = slots[i];
+        }
+        begin = end;
+    }
+    if (dedup)
+        row_ptr.back() = kept;
+    return row_ptr.back();
+}
+
+} // namespace
+
 Csr
 buildCsr(VertexId num_vertices, const EdgeList& edges,
-         const CsrBuildOptions& opts)
+         const CsrBuildOptions& opts,
+         const std::vector<Word>& weights)
 {
-    EdgeList cleaned;
-    cleaned.reserve(edges.size());
+    panic_if(!weights.empty() && weights.size() != edges.size(),
+             "weights size ", weights.size(), " != edge count ",
+             edges.size());
+
+    Csr graph;
+    graph.numVertices = num_vertices;
+    std::vector<EdgeId>& row_ptr = graph.rowPtr;
+    row_ptr.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
+
+    // Count each row's slots one entry to the right, so the prefix sum
+    // leaves row u's start in rowPtr[u].
+    std::uint64_t num_slots = 0;
     for (const auto& [u, v] : edges) {
         panic_if(u >= num_vertices || v >= num_vertices,
                  "edge (", u, ",", v, ") outside vertex domain ",
                  num_vertices);
         if (opts.removeSelfLoops && u == v)
             continue;
-        cleaned.emplace_back(u, v);
-        if (opts.symmetrize && u != v)
-            cleaned.emplace_back(v, u);
+        ++row_ptr[u + 1];
+        ++num_slots;
+        if (opts.symmetrize && u != v) {
+            ++row_ptr[v + 1];
+            ++num_slots;
+        }
     }
-
-    std::sort(cleaned.begin(), cleaned.end());
-    if (opts.dedup || opts.symmetrize) {
-        cleaned.erase(std::unique(cleaned.begin(), cleaned.end()),
-                      cleaned.end());
-    }
-
-    Csr graph;
-    graph.numVertices = num_vertices;
-    graph.numEdges = static_cast<EdgeId>(cleaned.size());
-    graph.rowPtr.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
-    graph.colIdx.resize(cleaned.size());
-
-    for (const auto& [u, v] : cleaned)
-        ++graph.rowPtr[u + 1];
+    panic_if(num_slots > std::numeric_limits<EdgeId>::max(),
+             "edge count ", num_slots, " exceeds the 32-bit domain");
     for (VertexId v = 0; v < num_vertices; ++v)
-        graph.rowPtr[v + 1] += graph.rowPtr[v];
-    for (std::size_t i = 0; i < cleaned.size(); ++i)
-        graph.colIdx[i] = cleaned[i].second;
+        row_ptr[v + 1] += row_ptr[v];
+
+    // Scatter every slot into its row, using rowPtr[u] as row u's
+    // cursor; afterwards rowPtr[u] holds row u + 1's start, so shift
+    // the array back by one.
+    auto scatter = [&](auto& slots, auto slot_of) {
+        slots.resize(num_slots);
+        for (std::size_t i = 0; i < edges.size(); ++i) {
+            const auto [u, v] = edges[i];
+            if (opts.removeSelfLoops && u == v)
+                continue;
+            slots[row_ptr[u]++] = slot_of(i, v);
+            if (opts.symmetrize && u != v)
+                slots[row_ptr[v]++] = slot_of(i, u);
+        }
+        for (VertexId v = num_vertices; v > 0; --v)
+            row_ptr[v] = row_ptr[v - 1];
+        row_ptr[0] = 0;
+    };
+    const bool dedup = opts.dedup || opts.symmetrize;
+
+    if (weights.empty()) {
+        scatter(graph.colIdx, [](std::size_t, VertexId dst) {
+            return dst;
+        });
+        graph.numEdges = sortRows(row_ptr, graph.colIdx, dedup);
+        graph.colIdx.resize(graph.numEdges);
+    } else {
+        std::vector<std::uint64_t> slots;
+        scatter(slots, [&](std::size_t i, VertexId dst) {
+            return packSlot(dst, weights[i]);
+        });
+        graph.numEdges = sortRows(row_ptr, slots, dedup);
+        graph.colIdx.resize(graph.numEdges);
+        graph.weights.resize(graph.numEdges);
+        for (EdgeId i = 0; i < graph.numEdges; ++i) {
+            graph.colIdx[i] = slotDst(slots[i]);
+            graph.weights[i] = static_cast<Word>(slots[i]);
+        }
+    }
 
     graph.checkInvariants();
     return graph;
@@ -130,39 +224,16 @@ permuteVertices(const Csr& graph, const std::vector<VertexId>& perm)
              "permutation size mismatch");
     EdgeList edges;
     edges.reserve(graph.numEdges);
-    // Carry weights through the rebuild by pairing them with edges.
-    std::vector<std::pair<std::pair<VertexId, VertexId>, Word>> weighted;
-    const bool has_w = graph.weighted();
-    if (has_w)
-        weighted.reserve(graph.numEdges);
     for (VertexId u = 0; u < graph.numVertices; ++u) {
-        for (EdgeId i = graph.rowPtr[u]; i < graph.rowPtr[u + 1]; ++i) {
-            const VertexId nu = perm[u];
-            const VertexId nv = perm[graph.colIdx[i]];
-            if (has_w)
-                weighted.push_back({{nu, nv}, graph.weights[i]});
-            else
-                edges.emplace_back(nu, nv);
-        }
+        for (EdgeId i = graph.rowPtr[u]; i < graph.rowPtr[u + 1]; ++i)
+            edges.emplace_back(perm[u], perm[graph.colIdx[i]]);
     }
 
     CsrBuildOptions opts;
     opts.removeSelfLoops = false; // preserve the input edge set exactly
     opts.dedup = false;
-
-    if (!has_w)
-        return buildCsr(graph.numVertices, edges, opts);
-
-    std::sort(weighted.begin(), weighted.end());
-    EdgeList sorted_edges;
-    sorted_edges.reserve(weighted.size());
-    for (const auto& [e, w] : weighted)
-        sorted_edges.push_back(e);
-    Csr out = buildCsr(graph.numVertices, sorted_edges, opts);
-    out.weights.resize(out.numEdges);
-    for (std::size_t i = 0; i < weighted.size(); ++i)
-        out.weights[i] = weighted[i].second;
-    return out;
+    // Weights run parallel to colIdx, hence to `edges`.
+    return buildCsr(graph.numVertices, edges, opts, graph.weights);
 }
 
 } // namespace dalorex

@@ -68,14 +68,22 @@ struct CsrBuildOptions
 };
 
 /**
- * Build a CSR from an unordered edge list.
+ * Build a CSR from an unordered edge list by bucketing edges into rows
+ * (a counting sort on the source), then sorting each row by
+ * (destination, weight). Parallel edges are kept in that order, or
+ * reduced to their first — smallest-weight — copy when deduplicating.
  *
  * @param num_vertices Vertex-id domain [0, num_vertices).
  * @param edges        Directed edge list; ids must be < num_vertices.
- * @param opts         Cleanup/symmetrization options.
+ * @param opts         Cleanup/symmetrization options; symmetrizing
+ *                     always deduplicates.
+ * @param weights      Optional per-edge weights parallel to `edges`
+ *                     (a reverse edge carries its original's weight);
+ *                     empty builds an unweighted graph.
  */
 Csr buildCsr(VertexId num_vertices, const EdgeList& edges,
-             const CsrBuildOptions& opts = {});
+             const CsrBuildOptions& opts = {},
+             const std::vector<Word>& weights = {});
 
 /** Return a symmetrized (undirected-view, deduped) copy of a graph. */
 Csr symmetrize(const Csr& graph);

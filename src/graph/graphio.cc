@@ -1,13 +1,13 @@
 #include "graph/graphio.hh"
 
 #include <algorithm>
+#include <utility>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
-#include <tuple>
 #include <vector>
 
 #include "common/text.hh"
@@ -17,18 +17,13 @@ namespace dalorex
 namespace
 {
 
-struct RawEdge
-{
-    VertexId u = 0;
-    VertexId v = 0;
-    Word w = 0;
-};
-
 /** Parser output before cleanup/CSR construction. */
 struct ParsedGraph
 {
     std::uint64_t numVertices = 0;
-    std::vector<RawEdge> edges;
+    EdgeList edges;
+    /** Parallel to `edges` when the input is weighted, else empty. */
+    std::vector<Word> weights;
     bool weighted = false;
 };
 
@@ -126,15 +121,13 @@ parseEdgeList(std::istream& in, const std::string& path,
                     atLine(path, lineno);
             return false;
         }
-        RawEdge edge;
+        std::uint64_t w = 0;
         if (!lineDone(p)) {
-            std::uint64_t w = 0;
             if (!takeU64(p, w) || !lineDone(p) ||
                 w > std::numeric_limits<Word>::max()) {
                 error = "bad edge weight at " + atLine(path, lineno);
                 return false;
             }
-            edge.w = static_cast<Word>(w);
             saw_weight = true;
         } else {
             saw_unweighted = true;
@@ -150,10 +143,11 @@ parseEdgeList(std::istream& in, const std::string& path,
                     atLine(path, lineno);
             return false;
         }
-        edge.u = static_cast<VertexId>(u);
-        edge.v = static_cast<VertexId>(v);
         max_id = std::max({max_id, u, v});
-        pg.edges.push_back(edge);
+        pg.edges.emplace_back(static_cast<VertexId>(u),
+                              static_cast<VertexId>(v));
+        if (saw_weight)
+            pg.weights.push_back(static_cast<Word>(w));
     }
     pg.weighted = saw_weight;
     pg.numVertices = pg.edges.empty() ? 0 : max_id + 1;
@@ -231,6 +225,8 @@ parseMatrixMarket(std::istream& in, const std::string& path,
             }
             pg.numVertices = dim;
             pg.edges.reserve(nnz);
+            if (pg.weighted)
+                pg.weights.reserve(nnz);
             have_dims = true;
             continue;
         }
@@ -241,10 +237,10 @@ parseMatrixMarket(std::istream& in, const std::string& path,
                     atLine(path, lineno);
             return false;
         }
-        RawEdge edge;
+        Word w = 0;
         if (pg.weighted) {
             double value = 0.0;
-            if (!takeDouble(p, value) || !toWeight(value, edge.w)) {
+            if (!takeDouble(p, value) || !toWeight(value, w)) {
                 error = "bad MatrixMarket value (want a real in "
                         "[0, 2^32)) at " + atLine(path, lineno);
                 return false;
@@ -262,11 +258,16 @@ parseMatrixMarket(std::istream& in, const std::string& path,
                     atLine(path, lineno);
             return false;
         }
-        edge.u = static_cast<VertexId>(i - 1);
-        edge.v = static_cast<VertexId>(j - 1);
-        pg.edges.push_back(edge);
-        if (symmetric && edge.u != edge.v)
-            pg.edges.push_back({edge.v, edge.u, edge.w});
+        const auto u = static_cast<VertexId>(i - 1);
+        const auto v = static_cast<VertexId>(j - 1);
+        pg.edges.emplace_back(u, v);
+        if (pg.weighted)
+            pg.weights.push_back(w);
+        if (symmetric && u != v) {
+            pg.edges.emplace_back(v, u);
+            if (pg.weighted)
+                pg.weights.push_back(w);
+        }
     }
     if (!have_dims) {
         error = "MatrixMarket file has no size line: " + path;
@@ -313,6 +314,7 @@ parseDimacsGr(std::istream& in, const std::string& path,
             }
             pg.numVertices = declared_vertices;
             pg.edges.reserve(m);
+            pg.weights.reserve(m);
             have_problem = true;
             continue;
         }
@@ -340,9 +342,9 @@ parseDimacsGr(std::istream& in, const std::string& path,
                         atLine(path, lineno);
                 return false;
             }
-            pg.edges.push_back({static_cast<VertexId>(u - 1),
-                                static_cast<VertexId>(v - 1),
-                                static_cast<Word>(w)});
+            pg.edges.emplace_back(static_cast<VertexId>(u - 1),
+                                  static_cast<VertexId>(v - 1));
+            pg.weights.push_back(static_cast<Word>(w));
             continue;
         }
         error = "unknown DIMACS line type '" + std::string(1, *p) +
@@ -464,40 +466,21 @@ readTextGraph(const std::string& path, const TextReadOptions& opts)
     if (!parsed)
         return failRead(error);
 
-    // Cleanup, mirroring buildCsr(): optional symmetrization, self
-    // loops, then a (u, v, w) sort with first-weight-wins dedup.
-    std::vector<RawEdge>& edges = pg.edges;
-    if (opts.symmetrize) {
-        const std::size_t directed = edges.size();
-        for (std::size_t i = 0; i < directed; ++i) {
-            const RawEdge e = edges[i];
-            if (e.u != e.v)
-                edges.push_back({e.v, e.u, e.w});
-        }
-    }
-    if (opts.removeSelfLoops)
-        edges.erase(std::remove_if(edges.begin(), edges.end(),
-                                   [](const RawEdge& e) {
-                                       return e.u == e.v;
-                                   }),
-                    edges.end());
-    std::sort(edges.begin(), edges.end(),
-              [](const RawEdge& a, const RawEdge& b) {
-                  return std::tie(a.u, a.v, a.w) <
-                         std::tie(b.u, b.v, b.w);
-              });
-    if (opts.dedup || opts.symmetrize)
-        edges.erase(std::unique(edges.begin(), edges.end(),
-                                [](const RawEdge& a,
-                                   const RawEdge& b) {
-                                    return a.u == b.u && a.v == b.v;
-                                }),
-                    edges.end());
-    if (edges.empty())
-        return failRead("input has no edges after cleanup: " + path);
-    if (edges.size() > std::numeric_limits<EdgeId>::max())
+    // Every kept edge takes one CSR slot, two when symmetrizing; the
+    // slot count must fit EdgeId before cleanup drops any.
+    const std::uint64_t slots =
+        std::uint64_t(pg.edges.size()) * (opts.symmetrize ? 2 : 1);
+    if (slots > std::numeric_limits<EdgeId>::max())
         return failRead("edge count exceeds the 32-bit domain: " +
                         path);
+    CsrBuildOptions build;
+    build.removeSelfLoops = opts.removeSelfLoops;
+    build.dedup = opts.dedup;
+    build.symmetrize = opts.symmetrize;
+    Csr graph = buildCsr(static_cast<VertexId>(pg.numVertices),
+                         pg.edges, build, pg.weights);
+    if (graph.numEdges == 0)
+        return failRead("input has no edges after cleanup: " + path);
 
     TextGraphResult result;
     Dataset& ds = result.dataset;
@@ -508,23 +491,7 @@ readTextGraph(const std::string& path, const TextReadOptions& opts)
         (opts.symmetrize ? ", symmetrized" : "") +
         (opts.removeSelfLoops ? ", self loops removed" : "") +
         (opts.dedup || opts.symmetrize ? ", deduplicated" : "");
-    Csr& g = ds.graph;
-    g.numVertices = static_cast<VertexId>(pg.numVertices);
-    g.numEdges = static_cast<EdgeId>(edges.size());
-    g.rowPtr.assign(static_cast<std::size_t>(g.numVertices) + 1, 0);
-    g.colIdx.resize(edges.size());
-    if (pg.weighted)
-        g.weights.resize(edges.size());
-    for (const RawEdge& e : edges)
-        ++g.rowPtr[e.u + 1];
-    for (VertexId v = 0; v < g.numVertices; ++v)
-        g.rowPtr[v + 1] += g.rowPtr[v];
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-        g.colIdx[i] = edges[i].v;
-        if (pg.weighted)
-            g.weights[i] = edges[i].w;
-    }
-    g.checkInvariants();
+    ds.graph = std::move(graph);
     return result;
 }
 

@@ -13,8 +13,8 @@
  *
  * Every parse failure (junk tokens, out-of-range ids, truncated
  * declarations) is a recoverable one-line error naming the offending
- * line, never a crash. Cleanup mirrors buildCsr(): self loops
- * dropped, duplicates deduplicated (first weight wins on ties),
+ * line, never a crash. Cleanup is buildCsr()'s: self loops
+ * dropped, duplicates deduplicated (the smallest weight wins),
  * optional symmetrization — all deterministic, so converting the same
  * input twice writes byte-identical graph files.
  */

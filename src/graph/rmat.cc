@@ -1,5 +1,7 @@
 #include "graph/rmat.hh"
 
+#include <algorithm>
+#include <cmath>
 #include <utility>
 #include <vector>
 
@@ -26,28 +28,30 @@ rmatEdges(const RmatParams& params)
     EdgeList edges;
     edges.reserve(num_edges);
 
-    const double ab = params.a + params.b;
-    const double abc = ab + params.c;
+    // Rng::uniform() is the 53-bit draw x scaled by 2^-53, and
+    // x * 2^-53 < p exactly when x < ceil(p * 2^53); so comparing the
+    // raw draw against these integer thresholds picks the same
+    // quadrants from the same stream.
+    auto threshold = [](double p) -> std::uint64_t {
+        return p > 0.0 ? static_cast<std::uint64_t>(
+                             std::ceil(std::min(p, 1.0) * 0x1.0p53))
+                       : 0;
+    };
+    const std::uint64_t t_a = threshold(params.a);
+    const std::uint64_t t_ab = threshold(params.a + params.b);
+    const std::uint64_t t_abc =
+        threshold(params.a + params.b + params.c);
 
     for (std::uint64_t e = 0; e < num_edges; ++e) {
         VertexId u = 0;
         VertexId v = 0;
         for (unsigned bit = 0; bit < params.scale; ++bit) {
-            const double r = rng.uniform();
-            // Pick the quadrant: a = (0,0), b = (0,1), c = (1,0),
-            // d = (1,1) in (row, col) bit order.
-            unsigned row_bit = 0;
-            unsigned col_bit = 0;
-            if (r < params.a) {
-                // top-left
-            } else if (r < ab) {
-                col_bit = 1;
-            } else if (r < abc) {
-                row_bit = 1;
-            } else {
-                row_bit = 1;
-                col_bit = 1;
-            }
+            const std::uint64_t x = rng.next64() >> 11;
+            // Quadrants a = (0,0), b = (0,1), c = (1,0), d = (1,1) in
+            // (row, col) bit order, picked without branches.
+            const VertexId row_bit = x >= t_ab;
+            const VertexId col_bit =
+                (x >= t_a) & ((x < t_ab) | (x >= t_abc));
             u = (u << 1) | row_bit;
             v = (v << 1) | col_bit;
         }

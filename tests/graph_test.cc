@@ -12,6 +12,7 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/logging.hh"
@@ -276,6 +277,101 @@ TEST(GoldenDigest, TextGraphs)
     keep_all.dedup = false;
     EXPECT_EQ(digest(readFixture(mtx, keep_all)), 0x2b599902d9c92b2aull);
     EXPECT_EQ(digest(readFixture(mtx, sym)), 0x198a9331e413d82dull);
+}
+
+// --- differential test ------------------------------------------------
+//
+// buildCsr() buckets edges into rows; this reference gets the same
+// answer the obvious way, by sorting and uniquing (u, v, w) tuples.
+
+Csr
+referenceCsr(VertexId num_vertices, const EdgeList& edges,
+             const std::vector<Word>& weights,
+             const CsrBuildOptions& opts)
+{
+    std::vector<std::tuple<VertexId, VertexId, Word>> slots;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        const auto [u, v] = edges[i];
+        const Word w = weights.empty() ? 0 : weights[i];
+        if (opts.removeSelfLoops && u == v)
+            continue;
+        slots.emplace_back(u, v, w);
+        if (opts.symmetrize && u != v)
+            slots.emplace_back(v, u, w);
+    }
+    std::sort(slots.begin(), slots.end());
+    if (opts.dedup || opts.symmetrize) {
+        slots.erase(std::unique(slots.begin(), slots.end(),
+                                [](const auto& a, const auto& b) {
+                                    return std::get<0>(a) ==
+                                               std::get<0>(b) &&
+                                           std::get<1>(a) ==
+                                               std::get<1>(b);
+                                }),
+                    slots.end());
+    }
+    Csr g;
+    g.numVertices = num_vertices;
+    g.numEdges = static_cast<EdgeId>(slots.size());
+    g.rowPtr.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
+    for (const auto& [u, v, w] : slots) {
+        ++g.rowPtr[u + 1];
+        g.colIdx.push_back(v);
+        if (!weights.empty())
+            g.weights.push_back(w);
+    }
+    for (VertexId v = 0; v < num_vertices; ++v)
+        g.rowPtr[v + 1] += g.rowPtr[v];
+    return g;
+}
+
+TEST(CsrDifferential, MatchesSortUniqueReference)
+{
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        Rng rng(seed);
+        // Every tenth list has a single vertex; the rest mix dense
+        // lists (many self loops and parallel edges) with sparse ones
+        // (many empty rows).
+        const auto num_vertices = static_cast<VertexId>(
+            seed % 10 == 0 ? 1 : 1 + rng.below(seed % 2 ? 6 : 60));
+        const std::size_t num_edges = rng.below(80);
+        EdgeList edges;
+        std::vector<Word> weights;
+        for (std::size_t i = 0; i < num_edges; ++i) {
+            edges.emplace_back(
+                static_cast<VertexId>(rng.below(num_vertices)),
+                static_cast<VertexId>(rng.below(num_vertices)));
+            weights.push_back(static_cast<Word>(rng.range(1, 4)));
+        }
+        for (unsigned combo = 0; combo < 8; ++combo) {
+            CsrBuildOptions opts;
+            opts.removeSelfLoops = combo & 1;
+            opts.dedup = combo & 2;
+            opts.symmetrize = combo & 4;
+            for (const bool weighted : {false, true}) {
+                const std::vector<Word> w =
+                    weighted ? weights : std::vector<Word>{};
+                const Csr got = buildCsr(num_vertices, edges, opts, w);
+                const Csr want =
+                    referenceCsr(num_vertices, edges, w, opts);
+                SCOPED_TRACE("seed " + std::to_string(seed) +
+                             " options " + std::to_string(combo) +
+                             (weighted ? " weighted" : ""));
+                EXPECT_EQ(got.numVertices, want.numVertices);
+                EXPECT_EQ(got.numEdges, want.numEdges);
+                EXPECT_EQ(got.rowPtr, want.rowPtr);
+                EXPECT_EQ(got.colIdx, want.colIdx);
+                EXPECT_EQ(got.weights, want.weights);
+            }
+        }
+    }
+}
+
+TEST(CsrDifferential, WeightCountMustMatchEdges)
+{
+    EXPECT_DEATH((void)buildCsr(2, {{0, 1}}, {},
+                                std::vector<Word>{1, 2}),
+                 "weights size");
 }
 
 TEST(Rmat, DeterministicBySeed)
