@@ -60,16 +60,14 @@ sortRows(std::vector<EdgeId>& row_ptr, std::vector<Slot>& slots,
     for (std::size_t v = 0; v + 1 < row_ptr.size(); ++v) {
         const EdgeId end = row_ptr[v + 1];
         std::sort(slots.begin() + begin, slots.begin() + end);
-        if (!dedup) {
-            begin = end;
-            continue;
-        }
-        row_ptr[v] = kept;
-        for (EdgeId i = begin; i < end; ++i) {
-            if (kept > row_ptr[v] &&
-                slotDst(slots[kept - 1]) == slotDst(slots[i]))
-                continue;
-            slots[kept++] = slots[i];
+        if (dedup) {
+            row_ptr[v] = kept;
+            for (EdgeId i = begin; i < end; ++i) {
+                if (kept > row_ptr[v] &&
+                    slotDst(slots[kept - 1]) == slotDst(slots[i]))
+                    continue;
+                slots[kept++] = slots[i];
+            }
         }
         begin = end;
     }
