@@ -1,13 +1,13 @@
 #include "graph/graphio.hh"
 
 #include <algorithm>
-#include <utility>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/text.hh"
