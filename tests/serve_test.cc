@@ -196,6 +196,63 @@ TEST(Protocol, RenderParseRoundTripPreservesScenario)
     EXPECT_EQ(p.request.client, "tester");
 }
 
+TEST(Protocol, GoldenRunRequestBytesAndPointHash)
+{
+    // Sweep and serve journals key their rows by pointHash, so these
+    // bytes are a storage format: a journal written by an earlier
+    // binary must keep resuming. Change them only on purpose.
+    const cli::Options defaults;
+    EXPECT_EQ(renderRunRequest(defaults, "g1", "alice", 3),
+              R"({"type":"run","id":"g1","client":"alice","priority":3,)"
+              R"("kernel":"bfs","dataset":"","scale":12,)"
+              R"("dataset_scale":0,"width":16,"height":16,)"
+              R"("topology":"torus","ruche_factor":0,)"
+              R"("policy":"traffic-aware","distribution":"low-order",)"
+              R"("barrier":false,"invoke_overhead":0,"max_cycles":0,)"
+              R"("engine_threads":1,"engine_scan":"active",)"
+              R"("engine_barrier":"tree","engine_rebalance":false,)"
+              R"("scratchpad_bytes":0,"seed":1,"validate":false})");
+    EXPECT_EQ(pointHash(defaults), 6286910549838326189ull);
+
+    cli::Options o;
+    ASSERT_TRUE(cli::parseKernel("pagerank", o.kernel));
+    o.dataset = "amazon";
+    o.scale = 9;
+    o.datasetScale = 10;
+    o.machine.width = 8;
+    o.machine.height = 4;
+    o.machine.topology = NocTopology::torusRuche;
+    o.machine.rucheFactor = 3;
+    o.machine.policy = SchedPolicy::roundRobin;
+    o.machine.distribution = Distribution::highOrder;
+    o.machine.barrier = true;
+    o.machine.invokeOverhead = 50;
+    o.machine.maxCycles = 123456789012ull;
+    o.machine.engineThreads = 4;
+    o.machine.engineScan = EngineScan::full;
+    o.machine.engineBarrier = EngineBarrier::central;
+    o.machine.engineRebalance = true;
+    o.machine.scratchpadProvisionBytes = 4200000;
+    o.params = {{"damping", 0.85}, {"iterations", 5.0}};
+    o.seed = 18446744073709551615ull;
+    o.validate = true;
+    o.deadlineMs = 1500;
+    EXPECT_EQ(renderRunRequest(o, "g2", "bob"),
+              R"({"type":"run","id":"g2","client":"bob","priority":0,)"
+              R"("kernel":"pagerank","dataset":"amazon","scale":9,)"
+              R"("dataset_scale":10,"width":8,"height":4,)"
+              R"("topology":"torus-ruche","ruche_factor":3,)"
+              R"("policy":"round-robin","distribution":"high-order",)"
+              R"("barrier":true,"invoke_overhead":50,)"
+              R"("max_cycles":123456789012,"engine_threads":4,)"
+              R"("engine_scan":"full","engine_barrier":"central",)"
+              R"("engine_rebalance":true,"scratchpad_bytes":4200000,)"
+              R"("params":"damping=0.85,iterations=5",)"
+              R"("seed":18446744073709551615,"validate":true,)"
+              R"("deadline_ms":1500})");
+    EXPECT_EQ(pointHash(o), 17642121535193863623ull);
+}
+
 TEST(Protocol, ResultPayloadExtractionIsExact)
 {
     const std::string payload =
