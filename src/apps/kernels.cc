@@ -7,6 +7,7 @@
 
 #include "apps/graph_app.hh"
 #include "common/logging.hh"
+#include "common/text.hh"
 
 namespace dalorex
 {
@@ -65,15 +66,7 @@ bool
 parseParamOverrides(const std::string& text,
                     std::vector<ParamOverride>& out, std::string& err)
 {
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        const std::size_t comma = text.find(',', start);
-        const std::string item =
-            text.substr(start, comma == std::string::npos
-                                   ? std::string::npos
-                                   : comma - start);
-        start = comma == std::string::npos ? text.size() + 1
-                                           : comma + 1;
+    for (const std::string& item : splitCommas(text)) {
         const std::size_t eq = item.find('=');
         if (item.empty() || eq == std::string::npos || eq == 0 ||
             eq + 1 == item.size()) {

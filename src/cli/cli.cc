@@ -11,10 +11,10 @@
 #include <vector>
 
 #include "apps/graph_app.hh"
+#include "cli/scenario.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 #include "common/table.hh"
-#include "common/text.hh"
 #include "graph/dataset_cache.hh"
 #include "graph/datasets.hh"
 
@@ -75,199 +75,29 @@ parseKernel(const std::string& text, const KernelInfo*& out)
     return true;
 }
 
-bool
-parseTopology(const std::string& text, NocTopology& out)
-{
-    const std::string t = toLower(text);
-    if (t == "mesh")
-        out = NocTopology::mesh;
-    else if (t == "torus")
-        out = NocTopology::torus;
-    else if (t == "torus-ruche" || t == "ruche")
-        out = NocTopology::torusRuche;
-    else
-        return false;
-    return true;
-}
-
-bool
-parsePolicy(const std::string& text, SchedPolicy& out)
-{
-    const std::string p = toLower(text);
-    if (p == "round-robin" || p == "rr")
-        out = SchedPolicy::roundRobin;
-    else if (p == "traffic-aware" || p == "ta")
-        out = SchedPolicy::trafficAware;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseEngineScan(const std::string& text, EngineScan& out)
-{
-    const std::string s = toLower(text);
-    if (s == "full")
-        out = EngineScan::full;
-    else if (s == "active")
-        out = EngineScan::active;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseEngineBarrier(const std::string& text, EngineBarrier& out)
-{
-    const std::string b = toLower(text);
-    if (b == "tree")
-        out = EngineBarrier::tree;
-    else if (b == "central")
-        out = EngineBarrier::central;
-    else
-        return false;
-    return true;
-}
-
-bool
-parseDistribution(const std::string& text, Distribution& out)
-{
-    const std::string d = toLower(text);
-    if (d == "low-order" || d == "low")
-        out = Distribution::lowOrder;
-    else if (d == "high-order" || d == "high")
-        out = Distribution::highOrder;
-    else
-        return false;
-    return true;
-}
-
 ParseResult
 parseArgs(int argc, const char* const* argv)
 {
     ParseResult result;
     Options& o = result.options;
-
-    // Flags taking a value, so the loop can uniformly fetch it.
-    auto needsValue = [](const std::string& flag) {
-        static const std::vector<std::string> valued = {
-            "--kernel",       "--width",        "--height",
-            "--topology",     "--ruche-factor", "--policy",
-            "--distribution", "--scale",        "--dataset",
-            "--seed",         "--invoke-overhead", "--max-cycles",
-            "--engine-threads", "--engine-scan", "--engine-barrier",
-            "--param",          "--pagerank-iters", "--deadline-ms",
-        };
-        return std::find(valued.begin(), valued.end(), flag) !=
-               valued.end();
-    };
-
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
-        std::string value;
-        if (needsValue(flag)) {
-            if (i + 1 >= argc)
-                return fail(flag + " needs a value");
-            value = argv[++i];
-        }
-
-        if (flag == "--help" || flag == "-h") {
-            o.help = true;
-        } else if (flag == "--kernel") {
-            if (!parseKernel(value, o.kernel))
-                return fail("unknown kernel: " + value + " (" +
-                            KernelRegistry::instance().namesText() +
-                            "; try --list-kernels)");
-        } else if (flag == "--width") {
-            if (!parseU32(value, 1, 1024, o.machine.width))
-                return fail("--width must be in [1, 1024], got " +
-                            value);
-        } else if (flag == "--height") {
-            if (!parseU32(value, 1, 1024, o.machine.height))
-                return fail("--height must be in [1, 1024], got " +
-                            value);
-        } else if (flag == "--topology") {
-            if (!parseTopology(value, o.machine.topology))
-                return fail("unknown topology: " + value +
-                            " (mesh|torus|torus-ruche)");
-        } else if (flag == "--ruche-factor") {
-            if (!parseU32(value, 2, 64, o.machine.rucheFactor))
-                return fail("--ruche-factor must be in [2, 64], got " +
-                            value);
-        } else if (flag == "--policy") {
-            if (!parsePolicy(value, o.machine.policy))
-                return fail("unknown policy: " + value +
-                            " (round-robin|traffic-aware)");
-        } else if (flag == "--distribution") {
-            if (!parseDistribution(value, o.machine.distribution))
-                return fail("unknown distribution: " + value +
-                            " (low-order|high-order)");
-        } else if (flag == "--barrier") {
-            o.machine.barrier = true;
-        } else if (flag == "--invoke-overhead") {
-            if (!parseU32(value, 0, 1'000'000,
-                          o.machine.invokeOverhead))
-                return fail("--invoke-overhead must be in "
-                            "[0, 1000000], got " + value);
-        } else if (flag == "--max-cycles") {
-            std::uint64_t v = 0;
-            if (!parseU64(value, v))
-                return fail("--max-cycles must be a cycle count, got " +
-                            value);
-            o.machine.maxCycles = v;
-        } else if (flag == "--deadline-ms") {
-            if (!parseU64(value, o.deadlineMs))
-                return fail("--deadline-ms must be a millisecond "
-                            "count, got " + value);
-        } else if (flag == "--engine-threads") {
-            std::uint32_t threads = 0;
-            if (!parseU32(value, 1, 256, threads))
-                return fail("--engine-threads must be in [1, 256], "
-                            "got " + value);
-            o.machine.engineThreads = threads;
-        } else if (flag == "--engine-scan") {
-            if (!parseEngineScan(value, o.machine.engineScan))
-                return fail("--engine-scan must be full|active, got " +
-                            value);
-        } else if (flag == "--engine-barrier") {
-            if (!parseEngineBarrier(value, o.machine.engineBarrier))
-                return fail("--engine-barrier must be tree|central, "
-                            "got " + value);
-        } else if (flag == "--engine-rebalance") {
-            o.machine.engineRebalance = true;
-        } else if (flag == "--param") {
+        if (const Axis* axis = findAxis(flag, onCli)) {
+            std::string value = "true";
+            if (axis->kind != AxisKind::flag) {
+                if (i + 1 >= argc)
+                    return fail(flag + " needs a value");
+                value = argv[++i];
+            }
             std::string err;
-            if (!parseParamOverrides(value, o.params, err))
+            if (!parseAxis(*axis, value, flag, o, err))
                 return fail(err);
-        } else if (flag == "--pagerank-iters") {
-            // Deprecated alias for --param iterations=N.
-            std::uint32_t iters = 0;
-            if (!parseU32(value, 1, 1000, iters))
-                return fail("--pagerank-iters must be in [1, 1000], "
-                            "got " + value);
-            o.params.push_back(
-                {"iterations", static_cast<double>(iters)});
-        } else if (flag == "--scale") {
-            std::uint32_t v = 0;
-            if (!parseU32(value, 4, 26, v))
-                return fail("--scale must be in [4, 26], got " + value);
-            o.scale = v;
-        } else if (flag == "--dataset") {
-            if (value.empty())
-                return fail("--dataset needs a name");
-            if (!knownDataset(value))
-                return fail("unknown dataset: " + value +
-                            " (try --list-datasets)");
-            o.dataset = value;
-        } else if (flag == "--seed") {
-            if (!parseU64(value, o.seed))
-                return fail("--seed must be an integer, got " + value);
+        } else if (flag == "--help" || flag == "-h") {
+            o.help = true;
         } else if (flag == "--json") {
             o.json = true;
         } else if (flag == "--time-engine") {
             o.timeEngine = true;
-        } else if (flag == "--validate") {
-            o.validate = true;
         } else if (flag == "--list-datasets") {
             o.listDatasets = true;
         } else if (flag == "--list-kernels") {
@@ -276,29 +106,9 @@ parseArgs(int argc, const char* const* argv)
             return fail("unknown option: " + flag + " (try --help)");
         }
     }
-
-    if (o.machine.topology == NocTopology::torusRuche &&
-        o.machine.rucheFactor < 2)
-        o.machine.rucheFactor = 2;
-    if (o.machine.topology != NocTopology::torusRuche)
-        o.machine.rucheFactor = 0;
-
-    // The engine shards one contiguous tile range per worker, so
-    // threads beyond the tile count could never receive a shard.
-    // Clamp here — where width/height are known regardless of flag
-    // order — so the rendered engine_threads matches what actually
-    // runs, with a one-line note instead of silently wasted workers.
-    const std::uint32_t tiles = o.machine.numTiles();
-    if (o.machine.engineThreads > tiles) {
-        result.note = "--engine-threads " +
-                      std::to_string(o.machine.engineThreads) +
-                      " exceeds the " +
-                      std::to_string(o.machine.width) + "x" +
-                      std::to_string(o.machine.height) + " grid's " +
-                      std::to_string(tiles) + " shards; using " +
-                      std::to_string(tiles);
-        o.machine.engineThreads = tiles;
-    }
+    // After the loop, where width/height are known regardless of flag
+    // order, so the rendered engine_threads matches what runs.
+    result.note = normalizeScenario(o);
     return result;
 }
 
@@ -335,79 +145,16 @@ usageText()
     for (const Subcommand& sub : subcommands())
         usage += std::string("  ") + sub.name + "\n      " +
                  sub.summary + "\n";
-    return usage +
-        "\n"
-        "scenario:\n"
-        "  --kernel K           " +
-        KernelRegistry::instance().namesText() +
-        " (default bfs)\n"
-        "  --scale N            RMAT dataset scale, V = 2^N"
-        " (default 12)\n"
-        "  --dataset NAME       named dataset instead of --scale:\n"
-        "                       amazon|wiki|livejournal|rmatN, or\n"
-        "                       file:PATH for a binary CSR graph\n"
-        "                       written by `dalorex convert`\n"
-        "  --seed N             dataset/weight seed (default 1)\n"
-        "\n"
-        "machine:\n"
-        "  --width N            grid width (default 16)\n"
-        "  --height N           grid height (default 16)\n"
-        "  --topology T         mesh|torus|torus-ruche"
-        " (default torus)\n"
-        "  --ruche-factor N     ruche hop distance (torus-ruche)\n"
-        "  --policy P           round-robin|traffic-aware"
-        " (default traffic-aware)\n"
-        "  --distribution D     low-order|high-order"
-        " (default low-order)\n"
-        "  --barrier            force epoch-synchronized execution\n"
-        "  --invoke-overhead N  extra cycles per task invocation\n"
-        "  --max-cycles N       hard cycle limit (0 = none); the run\n"
-        "                       ends with status \"timeout\" and exit\n"
-        "                       code 3 when exceeded\n"
-        "  --deadline-ms N      wall-clock budget for the engine run\n"
-        "                       (0 = none): a watchdog thread expires\n"
-        "                       it and the run unwinds with status\n"
-        "                       \"timeout\" at a cycle boundary\n"
-        "\n"
-        "execution (simulator only; never changes results):\n"
-        "  --engine-threads N   engine worker threads [1, 256]\n"
-        "                       (default 1; clamped to the tile\n"
-        "                       count; stats are byte-identical for\n"
-        "                       every N)\n"
-        "  --engine-barrier B   tree|central (default tree): the\n"
-        "                       cycle loop's worker barrier — the\n"
-        "                       MCS-style sense-reversing tree or the\n"
-        "                       centralized std::barrier reference;\n"
-        "                       stats are byte-identical for both\n"
-        "  --engine-rebalance   re-split the shard tile ranges when\n"
-        "                       the active set concentrates (off by\n"
-        "                       default; stats stay byte-identical)\n"
-        "  --engine-scan M      full|active (default active): step\n"
-        "                       only the active tile/router worklists\n"
-        "                       or keep the exhaustive per-cycle scan\n"
-        "                       as a reference oracle; stats are\n"
-        "                       byte-identical for both\n"
-        "  --time-engine        print the engine-loop wall time to\n"
-        "                       stderr (engine_wall_seconds X); the\n"
-        "                       stdout report stays byte-identical\n"
-        "\n"
-        "kernel parameters:\n"
-        "  --param K=V,...      override kernel defaults, e.g.\n"
-        "                       damping=0.9,iterations=20,\n"
-        "                       epsilon=1e-5 (PageRank convergence\n"
-        "                       stop; iterations stays the cap);\n"
-        "                       keys a kernel does not use are\n"
-        "                       skipped\n"
-        "  --pagerank-iters N   deprecated alias for\n"
-        "                       --param iterations=N\n"
+    return usage + "\nscenario:\n" + axisHelp(onCli) +
         "\n"
         "output:\n"
-        "  --json               emit one JSON object instead of text\n"
-        "  --validate           check output against the sequential\n"
-        "                       reference (exit 2 on mismatch)\n"
-        "  --list-datasets      list the named datasets and exit\n"
-        "  --list-kernels       list the registered kernels and exit\n"
-        "  --help               this text\n"
+        "  --json                emit one JSON object instead of text\n"
+        "  --time-engine         print the engine-loop wall time to\n"
+        "                        stderr (engine_wall_seconds X); the\n"
+        "                        stdout report stays byte-identical\n"
+        "  --list-datasets       list the named datasets and exit\n"
+        "  --list-kernels        list the registered kernels and exit\n"
+        "  --help                this text\n"
         "\n"
         "examples:\n"
         "  dalorex --kernel pagerank --width 8 --height 8"
@@ -519,6 +266,10 @@ runScenario(const Options& options, EngineArenas* pool,
 
     if (options.kernel == nullptr)
         return failRun(std::move(outcome), "scenario has no kernel");
+    // Every surface reaches this before a Machine is built, so an
+    // impossible axis combination fails its own run, not the process.
+    if (const std::string error = scenarioError(options); !error.empty())
+        return failRun(std::move(outcome), error);
 
     // All dataset construction flows through the process-wide
     // immutable cache: N sweep workers hitting the same (name, scale,

@@ -26,7 +26,8 @@ namespace dalorex
 namespace cli
 {
 
-/** One scenario, fully determined by argv. */
+/** One scenario, fully determined by argv. Its scenario fields are
+ *  the axes of the table in cli/scenario.hh. */
 struct Options
 {
     /** Registry handle of the scenario's kernel (never null). */
@@ -41,8 +42,7 @@ struct Options
     unsigned datasetScale = 0;
     /** Kernel parameter overrides (`--param damping=0.9,...`),
      *  applied through each kernel's KernelDefaults; keys a kernel
-     *  declares unused are skipped. `--pagerank-iters N` survives as
-     *  a deprecated alias for iterations=N. */
+     *  declares unused are skipped. */
     std::vector<ParamOverride> params;
     std::uint64_t seed = 1;   //!< dataset/weight seed
     /**
@@ -109,16 +109,9 @@ std::string datasetListText();
  *  traits, defaults and tags (shared with `dalorex sweep`). */
 std::string kernelListText();
 
-// Name parsers shared with the sweep grid flags; all return false on
-// unknown names and accept the usage-text aliases. The kernel parser
-// resolves through the registry, so new kernels parse with no edits
-// here.
+/** Resolve a kernel name or alias through the registry; false on
+ *  unknown names. */
 bool parseKernel(const std::string& text, const KernelInfo*& out);
-bool parseTopology(const std::string& text, NocTopology& out);
-bool parsePolicy(const std::string& text, SchedPolicy& out);
-bool parseDistribution(const std::string& text, Distribution& out);
-bool parseEngineScan(const std::string& text, EngineScan& out);
-bool parseEngineBarrier(const std::string& text, EngineBarrier& out);
 
 /** Parse a decimal unsigned integer; false on junk or overflow. */
 bool parseU64(const std::string& text, std::uint64_t& out);

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cctype>
 #include <string>
+#include <vector>
 
 namespace dalorex
 {
@@ -21,6 +22,20 @@ toLower(std::string s)
         return static_cast<char>(std::tolower(c));
     });
     return s;
+}
+
+/** Split "a,b,,c" at every comma, keeping empty items. */
+inline std::vector<std::string>
+splitCommas(const std::string& text)
+{
+    std::vector<std::string> out(1);
+    for (const char c : text) {
+        if (c == ',')
+            out.emplace_back();
+        else
+            out.back() += c;
+    }
+    return out;
 }
 
 } // namespace dalorex

@@ -1,13 +1,9 @@
 #include "serve/protocol.hh"
 
-#include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <sstream>
+#include <cmath>
 
-#include "apps/kernels.hh"
+#include "cli/scenario.hh"
 #include "energy/model.hh"
-#include "graph/datasets.hh"
 #include "graph/graphfile.hh"
 #include "serve/json.hh"
 
@@ -62,114 +58,14 @@ scavengeId(const std::string& line)
     return "";
 }
 
-/** Shortest round-trippable rendering of a double (param values). */
+/** The opening members of a run request, before its scenario axes. */
 std::string
-formatDouble(double value)
+requestHead(const std::string& id, const std::string& client,
+            int priority)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", value);
-    // Prefer the shortest representation that still round-trips.
-    for (int precision = 1; precision < 17; ++precision) {
-        char candidate[32];
-        std::snprintf(candidate, sizeof candidate, "%.*g", precision,
-                      value);
-        double back = 0.0;
-        std::sscanf(candidate, "%lf", &back);
-        if (back == value)
-            return candidate;
-    }
-    return buf;
-}
-
-/** Fetch an unsigned field bounded to [min, max]; absent = `def`. */
-bool
-u64Field(const JsonValue& object, const char* name,
-         std::uint64_t min, std::uint64_t max, std::uint64_t def,
-         std::uint64_t& out, std::string& err)
-{
-    const JsonValue* field = object.find(name);
-    if (field == nullptr) {
-        out = def;
-        return true;
-    }
-    std::uint64_t v = 0;
-    if (!field->asU64(v) || v < min || v > max) {
-        err = std::string(name) + " must be an integer in [" +
-              std::to_string(min) + ", " + std::to_string(max) + "]";
-        return false;
-    }
-    out = v;
-    return true;
-}
-
-bool
-u32Field(const JsonValue& object, const char* name,
-         std::uint32_t min, std::uint32_t max, std::uint32_t def,
-         std::uint32_t& out, std::string& err)
-{
-    std::uint64_t v = 0;
-    if (!u64Field(object, name, min, max, def, v, err))
-        return false;
-    out = static_cast<std::uint32_t>(v);
-    return true;
-}
-
-bool
-stringField(const JsonValue& object, const char* name,
-            const std::string& def, std::string& out,
-            std::string& err)
-{
-    const JsonValue* field = object.find(name);
-    if (field == nullptr) {
-        out = def;
-        return true;
-    }
-    if (!field->isString()) {
-        err = std::string(name) + " must be a string";
-        return false;
-    }
-    out = field->text;
-    return true;
-}
-
-bool
-boolField(const JsonValue& object, const char* name, bool def,
-          bool& out, std::string& err)
-{
-    const JsonValue* field = object.find(name);
-    if (field == nullptr) {
-        out = def;
-        return true;
-    }
-    if (!field->isBool()) {
-        err = std::string(name) + " must be true or false";
-        return false;
-    }
-    out = field->boolean;
-    return true;
-}
-
-/** The scenario/scheduling fields a run request may carry. */
-constexpr const char* knownFields[] = {
-    "type",           "id",           "client",
-    "priority",       "weight",       "kernel",
-    "dataset",        "scale",        "dataset_scale",
-    "width",          "height",       "topology",
-    "ruche_factor",   "policy",       "distribution",
-    "barrier",        "invoke_overhead", "max_cycles",
-    "engine_threads", "engine_scan",  "engine_barrier",
-    "engine_rebalance", "params",
-    "seed",           "validate",     "scratchpad_bytes",
-    "deadline_ms",
-};
-
-bool
-knownField(const std::string& name)
-{
-    for (const char* field : knownFields)
-        if (name == field)
-            return true;
-    return false;
+    return "{\"type\":\"run\",\"id\":" + jsonQuote(id) +
+           ",\"client\":" + jsonQuote(client) +
+           ",\"priority\":" + std::to_string(priority);
 }
 
 } // namespace
@@ -201,250 +97,75 @@ parseRequestLine(const std::string& line)
     }
     const JsonValue& object = json.value;
 
-    std::string err;
-    if (!stringField(object, "id", "", r.id, err))
-        return fail(std::move(parsed), err);
-
-    std::string type;
-    if (!stringField(object, "type", "run", type, err))
-        return fail(std::move(parsed), err);
-    if (type == "run")
+    // id first, so every later refusal still routes to its requester.
+    const JsonValue* id = object.find("id");
+    if (id != nullptr && id->isString())
+        r.id = id->text;
+    const JsonValue* type = object.find("type");
+    const std::string type_name =
+        type == nullptr ? "run" : type->isString() ? type->text : "";
+    if (type_name == "run")
         r.type = Request::Type::run;
-    else if (type == "stats")
+    else if (type_name == "stats")
         r.type = Request::Type::stats;
-    else if (type == "shutdown")
+    else if (type_name == "shutdown")
         r.type = Request::Type::shutdown;
     else
         return fail(std::move(parsed),
-                    "unknown request type: " + type +
+                    "unknown request type: " + type_name +
                         " (run|stats|shutdown)");
-
     if (r.id.empty())
         return fail(std::move(parsed),
                     "request needs a non-empty string id");
 
     for (const auto& [name, value] : object.members) {
-        (void)value;
-        if (!knownField(name))
+        if (name == "id" || name == "type")
+            continue;
+        if (name == "client") {
+            if (!value.isString() || value.text.empty())
+                return fail(std::move(parsed),
+                            "client must be a non-empty string");
+            r.client = value.text;
+        } else if (name == "priority") {
+            // Range before the cast: a double outside int's range
+            // has no defined conversion.
+            if (!value.isNumber() || value.number < -100.0 ||
+                value.number > 100.0 ||
+                value.number != std::floor(value.number))
+                return fail(std::move(parsed),
+                            "priority must be an integer in "
+                            "[-100, 100]");
+            r.priority = static_cast<int>(value.number);
+        } else if (name == "weight") {
+            if (!value.isNumber() || value.number <= 0.0 ||
+                value.number > 1000.0)
+                return fail(std::move(parsed),
+                            "weight must be in (0, 1000]");
+            r.weight = value.number;
+        } else if (const cli::Axis* axis =
+                       cli::findAxis(name, cli::onServe)) {
+            std::string err;
+            if (!cli::parseAxisJson(*axis, value, r.options, err))
+                return fail(std::move(parsed), err);
+        } else {
             return fail(std::move(parsed),
                         "unknown request field: " + name);
+        }
     }
-
-    if (!stringField(object, "client", "anon", r.client, err))
-        return fail(std::move(parsed), err);
-    if (r.client.empty())
-        return fail(std::move(parsed), "client must be non-empty");
-
-    if (const JsonValue* priority = object.find("priority")) {
-        if (!priority->isNumber() ||
-            priority->number != static_cast<int>(priority->number) ||
-            priority->number < -100 || priority->number > 100)
-            return fail(std::move(parsed),
-                        "priority must be an integer in [-100, 100]");
-        r.priority = static_cast<int>(priority->number);
-    }
-    if (const JsonValue* weight = object.find("weight")) {
-        if (!weight->isNumber() || weight->number <= 0.0 ||
-            weight->number > 1000.0)
-            return fail(std::move(parsed),
-                        "weight must be in (0, 1000]");
-        r.weight = weight->number;
-    }
-
     if (r.type != Request::Type::run)
         return parsed;
 
-    cli::Options& o = r.options;
-
-    std::string kernel;
-    if (!stringField(object, "kernel", "", kernel, err))
-        return fail(std::move(parsed), err);
-    if (!kernel.empty() && !cli::parseKernel(kernel, o.kernel))
-        return fail(std::move(parsed),
-                    "unknown kernel: " + kernel + " (" +
-                        KernelRegistry::instance().namesText() + ")");
-
-    if (!stringField(object, "dataset", "", o.dataset, err))
-        return fail(std::move(parsed), err);
-    if (!o.dataset.empty() && !knownDataset(o.dataset))
-        return fail(std::move(parsed),
-                    "unknown dataset: " + o.dataset);
-
-    std::uint32_t scale = 0;
-    if (!u32Field(object, "scale", 4, 26, o.scale, scale, err))
-        return fail(std::move(parsed), err);
-    o.scale = scale;
-    std::uint32_t dataset_scale = 0;
-    if (!u32Field(object, "dataset_scale", 0, 31, 0, dataset_scale,
-                  err))
-        return fail(std::move(parsed), err);
-    if (dataset_scale != 0 && dataset_scale < 4)
-        return fail(std::move(parsed),
-                    "dataset_scale must be 0 or in [4, 31]");
-    o.datasetScale = dataset_scale;
-
-    if (!u32Field(object, "width", 1, 1024, o.machine.width,
-                  o.machine.width, err) ||
-        !u32Field(object, "height", 1, 1024, o.machine.height,
-                  o.machine.height, err))
-        return fail(std::move(parsed), err);
-
-    std::string topology;
-    if (!stringField(object, "topology", "", topology, err))
-        return fail(std::move(parsed), err);
-    if (!topology.empty() &&
-        !cli::parseTopology(topology, o.machine.topology))
-        return fail(std::move(parsed),
-                    "unknown topology: " + topology +
-                        " (mesh|torus|torus-ruche)");
-    if (!u32Field(object, "ruche_factor", 0, 64, 0,
-                  o.machine.rucheFactor, err))
-        return fail(std::move(parsed), err);
-
-    std::string policy;
-    if (!stringField(object, "policy", "", policy, err))
-        return fail(std::move(parsed), err);
-    if (!policy.empty() && !cli::parsePolicy(policy, o.machine.policy))
-        return fail(std::move(parsed),
-                    "unknown policy: " + policy +
-                        " (round-robin|traffic-aware)");
-
-    std::string distribution;
-    if (!stringField(object, "distribution", "", distribution, err))
-        return fail(std::move(parsed), err);
-    if (!distribution.empty() &&
-        !cli::parseDistribution(distribution,
-                                o.machine.distribution))
-        return fail(std::move(parsed),
-                    "unknown distribution: " + distribution +
-                        " (low-order|high-order)");
-
-    if (!boolField(object, "barrier", false, o.machine.barrier, err))
-        return fail(std::move(parsed), err);
-    if (!u32Field(object, "invoke_overhead", 0, 1'000'000, 0,
-                  o.machine.invokeOverhead, err))
-        return fail(std::move(parsed), err);
-    std::uint64_t max_cycles = 0;
-    if (!u64Field(object, "max_cycles", 0, ~std::uint64_t(0), 0,
-                  max_cycles, err))
-        return fail(std::move(parsed), err);
-    o.machine.maxCycles = max_cycles;
-
-    std::uint32_t engine_threads = 1;
-    if (!u32Field(object, "engine_threads", 1, 256, 1, engine_threads,
-                  err))
-        return fail(std::move(parsed), err);
-    // Mirror cli::parseArgs's clamp: never more workers than shards,
-    // so a request and the equivalent argv render the same
-    // machine.engine_threads in the report.
-    o.machine.engineThreads = std::min(
-        engine_threads, o.machine.width * o.machine.height);
-
-    std::string engine_scan;
-    if (!stringField(object, "engine_scan", "", engine_scan, err))
-        return fail(std::move(parsed), err);
-    if (!engine_scan.empty() &&
-        !cli::parseEngineScan(engine_scan, o.machine.engineScan))
-        return fail(std::move(parsed),
-                    "engine_scan must be full|active");
-
-    std::string engine_barrier;
-    if (!stringField(object, "engine_barrier", "", engine_barrier,
-                     err))
-        return fail(std::move(parsed), err);
-    if (!engine_barrier.empty() &&
-        !cli::parseEngineBarrier(engine_barrier,
-                                 o.machine.engineBarrier))
-        return fail(std::move(parsed),
-                    "engine_barrier must be tree|central");
-
-    if (!boolField(object, "engine_rebalance", false,
-                   o.machine.engineRebalance, err))
-        return fail(std::move(parsed), err);
-
-    std::uint64_t scratchpad = 0;
-    if (!u64Field(object, "scratchpad_bytes", 0,
-                  std::uint64_t(1) << 40, 0, scratchpad, err))
-        return fail(std::move(parsed), err);
-    o.machine.scratchpadProvisionBytes = scratchpad;
-
-    std::string params;
-    if (!stringField(object, "params", "", params, err))
-        return fail(std::move(parsed), err);
-    if (!params.empty() &&
-        !parseParamOverrides(params, o.params, err))
-        return fail(std::move(parsed), err);
-
-    if (!u64Field(object, "seed", 0, ~std::uint64_t(0), 1, o.seed,
-                  err))
-        return fail(std::move(parsed), err);
-    if (!boolField(object, "validate", false, o.validate, err))
-        return fail(std::move(parsed), err);
-    if (!u64Field(object, "deadline_ms", 0, ~std::uint64_t(0), 0,
-                  o.deadlineMs, err))
-        return fail(std::move(parsed), err);
-
-    // Mirror cli::parseArgs's ruche normalization so a request and
-    // the equivalent argv produce the same MachineConfig.
-    if (o.machine.topology == NocTopology::torusRuche &&
-        o.machine.rucheFactor < 2)
-        o.machine.rucheFactor = 2;
-    if (o.machine.topology != NocTopology::torusRuche)
-        o.machine.rucheFactor = 0;
-    return parsed;
+    cli::normalizeScenario(r.options);
+    const std::string err = cli::scenarioError(r.options);
+    return err.empty() ? parsed : fail(std::move(parsed), err);
 }
 
 std::string
 renderRunRequest(const cli::Options& options, const std::string& id,
                  const std::string& client, int priority)
 {
-    const cli::Options& o = options;
-    std::ostringstream out;
-    out << "{\"type\":\"run\",\"id\":" << jsonQuote(id)
-        << ",\"client\":" << jsonQuote(client)
-        << ",\"priority\":" << priority
-        << ",\"kernel\":" << jsonQuote(o.kernel->name)
-        << ",\"dataset\":" << jsonQuote(o.dataset)
-        << ",\"scale\":" << o.scale
-        << ",\"dataset_scale\":" << o.datasetScale
-        << ",\"width\":" << o.machine.width
-        << ",\"height\":" << o.machine.height
-        << ",\"topology\":" << jsonQuote(toString(o.machine.topology))
-        << ",\"ruche_factor\":" << o.machine.rucheFactor
-        << ",\"policy\":" << jsonQuote(toString(o.machine.policy))
-        << ",\"distribution\":"
-        << jsonQuote(toString(o.machine.distribution))
-        << ",\"barrier\":" << (o.machine.barrier ? "true" : "false")
-        << ",\"invoke_overhead\":" << o.machine.invokeOverhead
-        << ",\"max_cycles\":" << o.machine.maxCycles
-        << ",\"engine_threads\":"
-        << std::max(1u, o.machine.engineThreads)
-        << ",\"engine_scan\":"
-        << jsonQuote(toString(o.machine.engineScan))
-        << ",\"engine_barrier\":"
-        << jsonQuote(toString(o.machine.engineBarrier))
-        << ",\"engine_rebalance\":"
-        << (o.machine.engineRebalance ? "true" : "false")
-        << ",\"scratchpad_bytes\":"
-        << o.machine.scratchpadProvisionBytes;
-    if (!o.params.empty()) {
-        std::string params;
-        for (const ParamOverride& p : o.params) {
-            if (!params.empty())
-                params += ',';
-            params += p.name + "=" + formatDouble(p.value);
-        }
-        out << ",\"params\":" << jsonQuote(params);
-    }
-    out << ",\"seed\":" << o.seed
-        << ",\"validate\":" << (o.validate ? "true" : "false");
-    // Run-control knob, not scenario identity: emit only when set so
-    // journal point hashes (computed with deadlineMs zeroed) match the
-    // request bytes of an undeadlined submission.
-    if (o.deadlineMs > 0)
-        out << ",\"deadline_ms\":" << o.deadlineMs;
-    out << "}";
-    return out.str();
+    return requestHead(id, client, priority) +
+           cli::renderAxes(options, false) + "}";
 }
 
 std::string
@@ -457,9 +178,8 @@ renderControlRequest(const std::string& type, const std::string& id)
 std::uint64_t
 pointHash(const cli::Options& options)
 {
-    cli::Options canonical = options;
-    canonical.deadlineMs = 0; // run control, not scenario identity
-    const std::string bytes = renderRunRequest(canonical, "", "");
+    const std::string bytes =
+        requestHead("", "", 0) + cli::renderAxes(options, true) + "}";
     return hashBytes(bytes.data(), bytes.size());
 }
 

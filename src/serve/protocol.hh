@@ -22,10 +22,10 @@
  * (and CI) can diff serve-backed runs against standalone runs without
  * any re-serialization.
  *
- * Every scenario field mirrors one `dalorex` CLI flag and parses
- * through the same cli:: parsers, so the two front doors cannot
- * drift. Unknown fields are an error: a typoed knob must fail the
- * request, not silently run a default scenario.
+ * Every scenario key is a row of the scenario-axis table
+ * (cli/scenario.hh), parsed by the same code as its `dalorex` flag, so
+ * the front doors cannot drift. Unknown fields are an error: a typoed
+ * knob must fail the request, not silently run a default scenario.
  */
 
 #ifndef DALOREX_SERVE_PROTOCOL_HH
@@ -82,10 +82,9 @@ struct ParsedRequest
 ParsedRequest parseRequestLine(const std::string& line);
 
 /**
- * Render a run request for `options` (the sweep client's serializer).
- * Every CLI-settable scenario field is emitted explicitly, so the
- * server parses exactly the submitted scenario regardless of its own
- * defaults.
+ * Render a run request for `options` (the sweep client's serializer):
+ * every scenario axis in table order, so the server parses exactly
+ * the submitted scenario regardless of its own defaults.
  */
 std::string renderRunRequest(const cli::Options& options,
                              const std::string& id,
@@ -98,11 +97,11 @@ std::string renderControlRequest(const std::string& type,
 
 /**
  * Canonical scenario identity hash: the FNV-1a of the options'
- * renderRunRequest bytes with empty id/client and run-control knobs
- * (deadline_ms) zeroed. The sweep journal keys rows by it and the
- * serve journal keys per-client results by it, so the same scenario
- * hashes identically whether submitted locally, via socket, with or
- * without a deadline.
+ * renderRunRequest bytes with empty id/client and the run-control
+ * axes (deadline_ms) left out. The sweep journal keys rows by it and
+ * the serve journal keys per-client results by it, so the same
+ * scenario hashes identically whether submitted locally, via socket,
+ * with or without a deadline.
  */
 std::uint64_t pointHash(const cli::Options& options);
 

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include "cli/cli.hh"
+#include "cli/scenario.hh"
 #include "common/parallel.hh"
 #include "serve/server.hh"
 #include "serve/socket_io.hh"
@@ -283,19 +284,20 @@ serveUsageText()
         "requests (one JSON object per line):\n"
         "  {\"type\":\"run\",\"id\":\"r1\",\"kernel\":\"bfs\","
         "\"dataset\":\"wiki\",\n"
-        "   \"width\":8,\"height\":8,...}   scenario fields mirror"
-        " the\n"
-        "                                dalorex flags; \"client\","
-        " \"priority\"\n"
-        "                                [-100,100] and \"weight\""
-        " (0,1000]\n"
-        "                                steer the queue\n"
+        "   \"width\":8,\"height\":8,...}   scenario keys below;"
+        " \"client\",\n"
+        "                                \"priority\" [-100,100] and"
+        " \"weight\"\n"
+        "                                (0,1000] steer the queue\n"
         "  {\"type\":\"stats\",\"id\":\"s1\"}      daemon counters"
         " (uptime, queue\n"
         "                                depths, per-client, dataset"
         " cache)\n"
         "  {\"type\":\"shutdown\",\"id\":\"q1\"}   drain accepted"
         " work and exit\n"
+        "\n"
+        "run request keys (absent = the `dalorex` default):\n" +
+        cli::axisHelp(cli::onServe) +
         "\n"
         "responses (JSONL, ids echoed):\n"
         "  {\"type\":\"accepted\",\"id\":...,\"queued\":N}\n"

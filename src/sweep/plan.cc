@@ -1,10 +1,8 @@
 #include "sweep/plan.hh"
 
 #include <algorithm>
-#include <cctype>
 
-#include "common/text.hh"
-#include "graph/datasets.hh"
+#include "cli/scenario.hh"
 
 namespace dalorex
 {
@@ -37,24 +35,23 @@ fail(const std::string& message)
 } // namespace
 
 bool
-parseGridShape(const std::string& text, GridShape& out)
+parseGridShape(const std::string& text, GridShape& out, std::string* err)
 {
+    // Each side is a value of the width/height scenario axes.
     const std::size_t x = text.find('x');
-    if (x == std::string::npos || x == 0 || x + 1 >= text.size())
-        return false;
-    const auto digits = [](const std::string& s) {
-        return !s.empty() &&
-               std::all_of(s.begin(), s.end(), [](unsigned char c) {
-                   return std::isdigit(c);
-               });
-    };
-    const std::string w = text.substr(0, x);
-    const std::string h = text.substr(x + 1);
-    if (!digits(w) || !digits(h) || w.size() > 4 || h.size() > 4)
-        return false;
-    out.width = static_cast<std::uint32_t>(std::stoul(w));
-    out.height = static_cast<std::uint32_t>(std::stoul(h));
-    return out.width > 0 && out.height > 0;
+    cli::Options v;
+    std::string error = "wants WxH (e.g. 16x16), got " + text;
+    const bool ok =
+        x != std::string::npos &&
+        cli::parseAxis(*cli::findAxis("width", cli::onServe),
+                       text.substr(0, x), "width", v, error) &&
+        cli::parseAxis(*cli::findAxis("height", cli::onServe),
+                       text.substr(x + 1), "height", v, error);
+    if (ok)
+        out = {v.machine.width, v.machine.height};
+    else if (err != nullptr)
+        *err = error;
+    return ok;
 }
 
 std::string
@@ -100,44 +97,34 @@ expand(const Plan& plan)
         return fail("barrier axis is empty");
     if (engine_threads.empty())
         return fail("engine-threads axis is empty");
-    for (const unsigned threads : engine_threads) {
-        if (threads < 1 || threads > 256)
-            return fail("engine-threads out of [1,256]: " +
-                        std::to_string(threads));
-    }
-
+    // Values are checked by the scenario-axis table, as on every
+    // surface.
+    std::string error;
+    cli::Options probe;
+    auto check = [&](const char* key, const std::string& text) {
+        if (error.empty())
+            cli::parseAxis(*cli::findAxis(key, cli::onServe), text, key,
+                           probe, error);
+    };
+    for (const unsigned threads : engine_threads)
+        check("engine_threads", std::to_string(threads));
     for (const GridShape& grid : grids) {
-        if (grid.width < 1 || grid.width > 1024 || grid.height < 1 ||
-            grid.height > 1024)
-            return fail("grid shape out of [1,1024]x[1,1024]: " +
-                        toString(grid));
+        check("width", std::to_string(grid.width));
+        check("height", std::to_string(grid.height));
     }
     for (const DatasetSpec& ds : datasets) {
+        probe = cli::Options{};
         if (ds.name.empty()) {
-            if (ds.scale < 4 || ds.scale > 26)
-                return fail("RMAT scale out of [4,26]: " +
-                            std::to_string(ds.scale));
+            check("scale", std::to_string(ds.scale));
         } else {
-            if (!knownDataset(ds.name))
-                return fail("unknown dataset: " + ds.name +
-                            " (try --list-datasets)");
-            if (ds.scale != 0) {
-                if (toLower(ds.name).rfind("rmat", 0) == 0)
-                    return fail(
-                        "rmatN datasets carry their scale in the "
-                        "name; drop @" + std::to_string(ds.scale) +
-                        " from " + ds.name);
-                if (isFileDataset(ds.name))
-                    return fail(
-                        "file: datasets are fixed size; drop @" +
-                        std::to_string(ds.scale) + " from " +
-                        ds.name);
-                if (ds.scale < 4 || ds.scale > 31)
-                    return fail("dataset scale out of [4,31]: " +
-                                std::to_string(ds.scale));
-            }
+            check("dataset", ds.name);
+            check("dataset_scale", std::to_string(ds.scale));
         }
+        if (error.empty())
+            error = cli::scenarioError(probe);
     }
+    if (!error.empty())
+        return fail(error);
 
     ExpandResult result;
     result.baseline =
@@ -168,19 +155,11 @@ expand(const Plan& plan)
                       o.machine.width = grid.width;
                       o.machine.height = grid.height;
                       o.machine.topology = topology;
-                      o.machine.rucheFactor =
-                          topology == NocTopology::torusRuche
-                              ? std::max<std::uint32_t>(
-                                    2, plan.rucheFactor)
-                              : 0;
+                      o.machine.rucheFactor = plan.rucheFactor;
                       o.machine.policy = policy;
                       o.machine.distribution = distribution;
                       o.machine.barrier = barrier;
-                      // Per-point clamp mirroring the CLI: a grid
-                      // with fewer tiles than the threads axis value
-                      // caps the crew at one worker per shard.
-                      o.machine.engineThreads =
-                          std::min(threads, grid.tiles());
+                      o.machine.engineThreads = threads;
                       o.machine.engineScan = plan.engineScan;
                       o.machine.engineBarrier = plan.engineBarrier;
                       o.machine.engineRebalance =
@@ -188,6 +167,10 @@ expand(const Plan& plan)
                       o.machine.invokeOverhead = plan.invokeOverhead;
                       o.machine.scratchpadProvisionBytes =
                           plan.scratchpadProvisionBytes;
+                      const std::string note =
+                          cli::normalizeScenario(o);
+                      if (result.note.empty())
+                          result.note = note;
                       result.points.push_back(std::move(o));
                   }
     return result;

@@ -40,8 +40,10 @@ struct GridShape
     }
 };
 
-/** Parse "WxH" (e.g. "16x16"); false on malformed text. */
-bool parseGridShape(const std::string& text, GridShape& out);
+/** Parse "WxH" (e.g. "16x16"), each side a width/height axis value;
+ *  false on malformed or out-of-range text, worded into `err`. */
+bool parseGridShape(const std::string& text, GridShape& out,
+                    std::string* err = nullptr);
 
 /** Render a shape back as "WxH". */
 std::string toString(const GridShape& shape);
@@ -126,6 +128,8 @@ struct ExpandResult
     GridShape baseline{};             //!< resolved baseline shape
     bool ok = true;
     std::string error; //!< one line, set when !ok
+    /** The first engine-threads clamp note of the points ("" = none). */
+    std::string note;
 };
 
 /**

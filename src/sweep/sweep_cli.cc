@@ -7,6 +7,7 @@
 #include <ostream>
 #include <vector>
 
+#include "cli/scenario.hh"
 #include "common/journal.hh"
 #include "common/logging.hh"
 #include "common/text.hh"
@@ -57,21 +58,15 @@ struct InterruptGuard
     ~InterruptGuard() { sigaction(SIGINT, &old, nullptr); }
 };
 
-std::vector<std::string>
-splitCommas(const std::string& text)
+/** Add `value` to a list axis; its first value replaces the Plan
+ *  default. */
+template <typename T>
+void
+append(std::vector<T>& axis, const T& value, bool first)
 {
-    std::vector<std::string> out;
-    std::size_t start = 0;
-    while (start <= text.size()) {
-        const std::size_t comma = text.find(',', start);
-        if (comma == std::string::npos) {
-            out.push_back(text.substr(start));
-            break;
-        }
-        out.push_back(text.substr(start, comma - start));
-        start = comma + 1;
-    }
-    return out;
+    if (first)
+        axis.clear();
+    axis.push_back(value);
 }
 
 SweepParseResult
@@ -97,218 +92,162 @@ parseSweepArgs(int argc, const char* const* argv)
 {
     SweepParseResult result;
     SweepOptions& o = result.options;
+    Plan& plan = o.plan;
     std::vector<RawDataset> rawDatasets;
     std::vector<unsigned> rmatScales;
-    // Axes with non-empty Plan defaults drop them on the flag's first
-    // occurrence; every repeated flag then appends, like the others.
-    bool sawTopology = false;
-    bool sawPolicy = false;
-    bool sawDistribution = false;
-    bool sawEngineThreads = false;
+    // A list axis's first flag replaces its Plan default; repeated
+    // flags then append.
+    std::vector<const cli::Axis*> seen;
 
-    auto needsValue = [](const std::string& flag) {
+    // Where each parsed table value lands in the plan.
+    auto bind = [&](const std::string& key, const cli::Options& v,
+                    bool first) {
+        const MachineConfig& m = v.machine;
+        if (key == "kernel")
+            append(plan.kernels, v.kernel, first);
+        else if (key == "dataset")
+            rawDatasets.push_back({v.dataset, v.datasetScale});
+        else if (key == "scale")
+            rmatScales.push_back(v.scale);
+        else if (key == "topology")
+            append(plan.topologies, m.topology, first);
+        else if (key == "policy")
+            append(plan.policies, m.policy, first);
+        else if (key == "distribution")
+            append(plan.distributions, m.distribution, first);
+        else if (key == "engine_threads")
+            append(plan.engineThreads, m.engineThreads, first);
+        else if (key == "ruche_factor")
+            plan.rucheFactor = m.rucheFactor;
+        else if (key == "invoke_overhead")
+            plan.invokeOverhead = m.invokeOverhead;
+        else if (key == "engine_scan")
+            plan.engineScan = m.engineScan;
+        else if (key == "engine_barrier")
+            plan.engineBarrier = m.engineBarrier;
+        else if (key == "engine_rebalance")
+            plan.engineRebalance = m.engineRebalance;
+        else if (key == "params")
+            plan.params.insert(plan.params.end(), v.params.begin(),
+                               v.params.end());
+        else if (key == "seed")
+            plan.seed = v.seed;
+        else if (key == "validate")
+            plan.validate = v.validate;
+    };
+
+    // Flags naming a file or socket path.
+    const std::vector<std::pair<std::string, std::string*>> paths = {
+        {"--via", &o.via},
+        {"--csv", &o.csvPath},
+        {"--jsonl", &o.jsonlPath},
+        {"--journal", &o.journalPath},
+        {"--resume", &o.resumePath},
+    };
+    auto pathOf = [&paths](const std::string& flag) -> std::string* {
+        for (const auto& [name, field] : paths)
+            if (flag == name)
+                return field;
+        return nullptr;
+    };
+    auto needsValue = [&pathOf](const std::string& flag) {
         static const std::vector<std::string> valued = {
-            "--kernel",   "--dataset",      "--scale",
-            "--grid-size", "--topology",    "--policy",
-            "--distribution", "--barrier",  "--baseline",
-            "--ruche-factor", "--invoke-overhead", "--seed",
-            "--pagerank-iters", "--param",  "--engine-threads",
-            "--engine-scan", "--engine-barrier", "--threads",
-            "--csv", "--jsonl", "--via",
-            "--journal", "--resume", "--retries",
-            "--retry-backoff-ms", "--row-deadline-ms",
+            "--grid-size", "--barrier", "--baseline", "--threads",
+            "--retries", "--retry-backoff-ms", "--row-deadline-ms",
         };
-        return std::find(valued.begin(), valued.end(), flag) !=
-               valued.end();
+        return pathOf(flag) != nullptr ||
+               std::find(valued.begin(), valued.end(), flag) !=
+                   valued.end();
     };
 
     for (int i = 1; i < argc; ++i) {
         const std::string flag = argv[i];
-        std::string value;
-        if (needsValue(flag)) {
+        const cli::Axis* axis =
+            cli::findAxis(flag, cli::onSweep | cli::onSweepList);
+        std::string value = "true";
+        if (axis != nullptr ? axis->kind != cli::AxisKind::flag
+                            : needsValue(flag)) {
             if (i + 1 >= argc)
                 return fail(flag + " needs a value");
             value = argv[++i];
         }
 
-        if (flag == "--help" || flag == "-h") {
+        if (axis != nullptr) {
+            // Table axes, with sweep's own item spellings: comma
+            // lists, `all` kernels and NAME@SCALE datasets.
+            const std::string key = axis->key;
+            bool first = std::find(seen.begin(), seen.end(), axis) ==
+                         seen.end();
+            seen.push_back(axis);
+            for (const std::string& item :
+                 (axis->surfaces & cli::onSweepList) != 0
+                     ? splitCommas(value)
+                     : std::vector<std::string>{value}) {
+                cli::Options v;
+                std::string err;
+                if (key == "kernel" && toLower(item) == "all") {
+                    for (const KernelInfo* kernel : allKernels())
+                        plan.kernels.push_back(kernel);
+                    first = false;
+                    continue;
+                }
+                // file: names are paths, which may contain '@';
+                // their size is fixed anyway, so no @SCALE suffix.
+                const std::size_t at =
+                    key != "dataset" || isFileDataset(item)
+                        ? std::string::npos
+                        : item.find('@');
+                if (key == "dataset" && (at == 0 || item.empty()))
+                    return fail("--dataset needs a name, got: " + item);
+                if (at != std::string::npos &&
+                    !cli::parseAxis(
+                        *cli::findAxis("dataset_scale", cli::onServe),
+                        item.substr(at + 1), "--dataset @SCALE", v, err))
+                    return fail(err);
+                if (!cli::parseAxis(*axis, item.substr(0, at), flag, v,
+                                    err))
+                    return fail(err);
+                bind(key, v, first);
+                first = false;
+            }
+        } else if (flag == "--help" || flag == "-h") {
             o.help = true;
         } else if (flag == "--list-datasets") {
             o.listDatasets = true;
         } else if (flag == "--list-kernels") {
             o.listKernels = true;
-        } else if (flag == "--kernel") {
-            for (const std::string& item : splitCommas(value)) {
-                if (toLower(item) == "all") {
-                    for (const KernelInfo* k : allKernels())
-                        o.plan.kernels.push_back(k);
-                    continue;
-                }
-                const KernelInfo* kernel = nullptr;
-                if (!cli::parseKernel(item, kernel))
-                    return fail(
-                        "unknown kernel: " + item + " (" +
-                        KernelRegistry::instance().namesText() +
-                        "|all)");
-                o.plan.kernels.push_back(kernel);
-            }
-        } else if (flag == "--dataset") {
-            for (const std::string& item : splitCommas(value)) {
-                RawDataset raw;
-                // file: names are paths, which may contain '@';
-                // their size is fixed anyway, so no @SCALE suffix.
-                const std::size_t at = isFileDataset(item)
-                                           ? std::string::npos
-                                           : item.find('@');
-                raw.name = item.substr(0, at);
-                if (raw.name.empty())
-                    return fail("--dataset needs a name, got: " +
-                                item);
-                if (at != std::string::npos) {
-                    std::uint32_t scale = 0;
-                    if (!cli::parseU32(item.substr(at + 1), 4, 31,
-                                       scale))
-                        return fail("dataset scale must be in "
-                                    "[4, 31], got: " + item);
-                    raw.scale = scale;
-                }
-                rawDatasets.push_back(std::move(raw));
-            }
-        } else if (flag == "--scale") {
-            for (const std::string& item : splitCommas(value)) {
-                std::uint32_t scale = 0;
-                if (!cli::parseU32(item, 4, 26, scale))
-                    return fail("--scale must be in [4, 26], got " +
-                                item);
-                rmatScales.push_back(scale);
-            }
         } else if (flag == "--grid-size") {
             for (const std::string& item : splitCommas(value)) {
                 GridShape shape;
-                if (!parseGridShape(item, shape))
-                    return fail("bad grid size (want WxH, e.g. "
-                                "16x16): " + item);
-                o.plan.grids.push_back(shape);
-            }
-        } else if (flag == "--topology") {
-            if (!sawTopology)
-                o.plan.topologies.clear();
-            sawTopology = true;
-            for (const std::string& item : splitCommas(value)) {
-                NocTopology topology;
-                if (!cli::parseTopology(item, topology))
-                    return fail("unknown topology: " + item +
-                                " (mesh|torus|torus-ruche)");
-                o.plan.topologies.push_back(topology);
-            }
-        } else if (flag == "--policy") {
-            if (!sawPolicy)
-                o.plan.policies.clear();
-            sawPolicy = true;
-            for (const std::string& item : splitCommas(value)) {
-                SchedPolicy policy;
-                if (!cli::parsePolicy(item, policy))
-                    return fail("unknown policy: " + item +
-                                " (round-robin|traffic-aware)");
-                o.plan.policies.push_back(policy);
-            }
-        } else if (flag == "--distribution") {
-            if (!sawDistribution)
-                o.plan.distributions.clear();
-            sawDistribution = true;
-            for (const std::string& item : splitCommas(value)) {
-                Distribution distribution;
-                if (!cli::parseDistribution(item, distribution))
-                    return fail("unknown distribution: " + item +
-                                " (low-order|high-order)");
-                o.plan.distributions.push_back(distribution);
+                std::string err;
+                if (!parseGridShape(item, shape, &err))
+                    return fail(flag + " " + err);
+                plan.grids.push_back(shape);
             }
         } else if (flag == "--barrier") {
             const std::string mode = toLower(value);
-            if (mode == "off")
-                o.plan.barriers = {false};
-            else if (mode == "on")
-                o.plan.barriers = {true};
-            else if (mode == "both")
-                o.plan.barriers = {false, true};
-            else
+            if (mode != "off" && mode != "on" && mode != "both")
                 return fail("--barrier must be off|on|both, got " +
                             value);
+            plan.barriers.clear();
+            if (mode != "on")
+                plan.barriers.push_back(false);
+            if (mode != "off")
+                plan.barriers.push_back(true);
         } else if (flag == "--baseline") {
-            if (!parseGridShape(value, o.plan.baseline))
-                return fail("bad --baseline (want WxH, e.g. 4x4): " +
-                            value);
-        } else if (flag == "--ruche-factor") {
-            if (!cli::parseU32(value, 2, 64, o.plan.rucheFactor))
-                return fail("--ruche-factor must be in [2, 64], got " +
-                            value);
-        } else if (flag == "--invoke-overhead") {
-            if (!cli::parseU32(value, 0, 1'000'000,
-                               o.plan.invokeOverhead))
-                return fail("--invoke-overhead must be in "
-                            "[0, 1000000], got " + value);
-        } else if (flag == "--seed") {
-            if (!cli::parseU64(value, o.plan.seed))
-                return fail("--seed must be an integer, got " + value);
-        } else if (flag == "--pagerank-iters") {
-            // Deprecated alias for --param iterations=N.
-            std::uint32_t iters = 0;
-            if (!cli::parseU32(value, 1, 1000, iters))
-                return fail("--pagerank-iters must be in [1, 1000], "
-                            "got " + value);
-            o.plan.params.push_back(
-                {"iterations", static_cast<double>(iters)});
-        } else if (flag == "--param") {
             std::string err;
-            if (!parseParamOverrides(value, o.plan.params, err))
-                return fail(err);
-        } else if (flag == "--engine-threads") {
-            if (!sawEngineThreads)
-                o.plan.engineThreads.clear();
-            sawEngineThreads = true;
-            for (const std::string& item : splitCommas(value)) {
-                std::uint32_t threads = 0;
-                if (!cli::parseU32(item, 1, 256, threads))
-                    return fail("--engine-threads must be in "
-                                "[1, 256], got " + item);
-                o.plan.engineThreads.push_back(threads);
-            }
-        } else if (flag == "--engine-scan") {
-            if (!cli::parseEngineScan(value, o.plan.engineScan))
-                return fail("--engine-scan must be full|active, got " +
-                            value);
-        } else if (flag == "--engine-barrier") {
-            if (!cli::parseEngineBarrier(value, o.plan.engineBarrier))
-                return fail("--engine-barrier must be tree|central, "
-                            "got " + value);
-        } else if (flag == "--engine-rebalance") {
-            o.plan.engineRebalance = true;
+            if (!parseGridShape(value, plan.baseline, &err))
+                return fail(flag + " " + err);
         } else if (flag == "--threads") {
             std::uint32_t threads = 0;
             if (!cli::parseU32(value, 1, 256, threads))
                 return fail("--threads must be in [1, 256], got " +
                             value);
             o.threads = threads;
-        } else if (flag == "--via") {
+        } else if (std::string* path = pathOf(flag)) {
             if (value.empty() || value.rfind("--", 0) == 0)
-                return fail("--via needs a daemon socket path");
-            o.via = value;
-        } else if (flag == "--csv") {
-            if (value.empty() || value.rfind("--", 0) == 0)
-                return fail("--csv needs a file path");
-            o.csvPath = value;
-        } else if (flag == "--jsonl") {
-            if (value.empty() || value.rfind("--", 0) == 0)
-                return fail("--jsonl needs a file path");
-            o.jsonlPath = value;
-        } else if (flag == "--journal") {
-            if (value.empty() || value.rfind("--", 0) == 0)
-                return fail("--journal needs a file path");
-            o.journalPath = value;
-        } else if (flag == "--resume") {
-            if (value.empty() || value.rfind("--", 0) == 0)
-                return fail("--resume needs a journal file path");
-            o.resumePath = value;
+                return fail(flag + " needs a path");
+            *path = value;
         } else if (flag == "--retries") {
             std::uint32_t retries = 0;
             if (!cli::parseU32(value, 0, 16, retries))
@@ -329,30 +268,28 @@ parseSweepArgs(int argc, const char* const* argv)
             o.quick = true;
         } else if (flag == "--full") {
             o.quick = false;
-        } else if (flag == "--validate") {
-            o.plan.validate = true;
         } else {
             return fail("unknown option: " + flag + " (try --help)");
         }
     }
 
     // Defaults that depend on other flags apply once argv is read.
-    if (o.plan.kernels.empty())
-        o.plan.kernels = allKernels();
-    if (o.plan.grids.empty())
-        o.plan.grids = {{4, 4}, {8, 8}, {16, 16}};
+    if (plan.kernels.empty())
+        plan.kernels = allKernels();
+    if (plan.grids.empty())
+        plan.grids = {{4, 4}, {8, 8}, {16, 16}};
     for (const RawDataset& raw : rawDatasets) {
         DatasetSpec spec;
         spec.name = raw.name;
         spec.scale = raw.scale != 0 ? raw.scale
                      : o.quick      ? defaultQuickScale(raw.name)
                                     : 0;
-        o.plan.datasets.push_back(std::move(spec));
+        plan.datasets.push_back(std::move(spec));
     }
     for (const unsigned scale : rmatScales)
-        o.plan.datasets.push_back({"", scale});
-    if (o.plan.datasets.empty())
-        o.plan.datasets.push_back({"", o.quick ? 10u : 14u});
+        plan.datasets.push_back({"", scale});
+    if (plan.datasets.empty())
+        plan.datasets.push_back({"", o.quick ? 10u : 14u});
     return result;
 }
 
@@ -368,61 +305,17 @@ sweepUsageText()
         "speedup vs the baseline grid, strong-scaling parallel\n"
         "efficiency and energy per edge.\n"
         "\n"
-        "grid axes (comma-separated values):\n"
-        "  --kernel K,...        " +
-        KernelRegistry::instance().namesText() +
-        "|all (default all)\n"
-        "  --dataset NAME,...    amazon|wiki|livejournal|rmatN, or\n"
-        "                        file:PATH for a binary CSR graph"
-        " written by\n"
-        "                        `dalorex convert`; NAME@SCALE pins a"
-        " stand-in\n"
-        "                        scale (default: RMAT at --scale)\n"
-        "  --scale N,...         RMAT scales [4,26] when --dataset is"
-        " absent\n"
-        "                        (default: 10 quick, 14 full)\n"
-        "  --grid-size WxH,...   machine shapes"
-        " (default 4x4,8x8,16x16)\n"
-        "  --topology T,...      mesh|torus|torus-ruche"
-        " (default torus)\n"
-        "  --policy P,...        round-robin|traffic-aware"
-        " (default traffic-aware)\n"
-        "  --distribution D,...  low-order|high-order"
-        " (default low-order)\n"
+        "scenario axes (A,... takes a comma-separated list; every\n"
+        "other flag applies one value to every point):\n" +
+        cli::axisHelp(cli::onSweep | cli::onSweepList) +
+        "  --grid-size WxH,...   machine shapes, each side a --width/"
+        "--height\n"
+        "                        value (default 4x4,8x8,16x16)\n"
         "  --barrier M           off|on|both (default off)\n"
-        "  --engine-threads N,...engine worker threads per point"
-        " [1, 256]\n"
-        "                        (default 1; stats are byte-identical"
-        " for every N)\n"
-        "  --engine-scan M       full|active scan mode for every"
-        " point (default\n"
-        "                        active; results identical for both)\n"
-        "  --engine-barrier B    tree|central phase barrier for every"
-        " point\n"
-        "                        (default tree; results identical for"
-        " both)\n"
-        "  --engine-rebalance    occupancy-driven shard rebalancing"
-        " for every\n"
-        "                        point (default off; results"
-        " identical)\n"
-        "\n"
-        "scenario knobs:\n"
         "  --baseline WxH        speedup baseline shape"
         " (default: first --grid-size)\n"
-        "  --ruche-factor N      ruche hop distance [2, 64]"
-        " (default 2)\n"
-        "  --invoke-overhead N   extra cycles per task invocation\n"
-        "  --seed N              dataset/weight seed (default 1)\n"
-        "  --param K=V,...       kernel parameter overrides"
-        " (damping|iterations|epsilon);\n"
-        "                        keys a kernel does not use are"
-        " skipped\n"
-        "  --pagerank-iters N    deprecated alias for"
-        " --param iterations=N\n"
         "  --quick / --full      stand-in scale for named datasets"
         " (default quick)\n"
-        "  --validate            check every point against the"
-        " sequential reference\n"
         "\n"
         "execution and output:\n"
         "  --threads N           total thread budget [1, 256]"
@@ -500,20 +393,8 @@ sweepMain(int argc, const char* const* argv, std::ostream& out,
         err << "dalorex sweep: " << expanded.error << "\n";
         return 2;
     }
-    // Mirror the single-run CLI's advisory: points whose grid has
-    // fewer tiles than the threads axis value were clamped to one
-    // worker per shard during expansion.
-    unsigned min_tiles = ~0u;
-    for (const GridShape& grid : o.plan.grids)
-        min_tiles = std::min(min_tiles, grid.tiles());
-    for (const unsigned n : o.plan.engineThreads) {
-        if (!o.plan.grids.empty() && n > min_tiles) {
-            err << "dalorex sweep: --engine-threads values above a "
-                   "grid's tile count run clamped to one thread per "
-                   "shard on that grid\n";
-            break;
-        }
-    }
+    if (!expanded.note.empty())
+        err << "dalorex sweep: " << expanded.note << "\n";
 
     // Scenario identity: one hash per row over its canonical request
     // bytes and a plan hash over all of them. Journals bind to both,

@@ -211,7 +211,7 @@ TEST(CliParse, EngineThreadsClampToTilesWithNote)
     EXPECT_TRUE(fit.note.empty());
 }
 
-TEST(CliParse, ParamOverridesAndDeprecatedAlias)
+TEST(CliParse, ParamOverrides)
 {
     const ParseResult r =
         parse({"--param", "damping=0.9,iterations=20"});
@@ -221,13 +221,6 @@ TEST(CliParse, ParamOverridesAndDeprecatedAlias)
     EXPECT_DOUBLE_EQ(r.options.params[0].value, 0.9);
     EXPECT_EQ(r.options.params[1].name, "iterations");
     EXPECT_DOUBLE_EQ(r.options.params[1].value, 20.0);
-
-    // The deprecated spelling folds into the same override list.
-    const ParseResult alias = parse({"--pagerank-iters", "7"});
-    ASSERT_TRUE(alias.ok) << alias.error;
-    ASSERT_EQ(alias.options.params.size(), 1u);
-    EXPECT_EQ(alias.options.params[0].name, "iterations");
-    EXPECT_DOUBLE_EQ(alias.options.params[0].value, 7.0);
 
     const ParseResult eps = parse({"--param", "epsilon=1e-5"});
     ASSERT_TRUE(eps.ok) << eps.error;
@@ -241,7 +234,12 @@ TEST(CliParse, ParamOverridesAndDeprecatedAlias)
     EXPECT_FALSE(parse({"--param", "iterations=0"}).ok);
     EXPECT_FALSE(parse({"--param", "iterations=1.5"}).ok);
     EXPECT_FALSE(parse({"--param", "epsilon=1"}).ok);
-    EXPECT_FALSE(parse({"--pagerank-iters", "0"}).ok);
+    // The retired --pagerank-iters alias is an unknown option now.
+    const ParseResult retired = parse({"--pagerank-iters", "7"});
+    EXPECT_FALSE(retired.ok);
+    EXPECT_NE(retired.error.find("unknown option: --pagerank-iters"),
+              std::string::npos)
+        << retired.error;
 }
 
 TEST(CliParse, HelpFlag)
@@ -440,6 +438,21 @@ TEST(CliMain, EngineBarrierAndRebalanceSurfaceInJson)
     EXPECT_NE(out.find("\"engine_rebalance\":true"),
               std::string::npos);
     EXPECT_NE(out.find("\"rebalances\":"), std::string::npos);
+}
+
+TEST(CliMain, RucheFactorAtGridWidthExitsTwoWithOneLine)
+{
+    // A fatal() in the NoC constructor before; now a usage-style exit.
+    std::string out;
+    std::string err;
+    const int code =
+        runCli({"--topology", "torus-ruche", "--width", "2", "--height",
+                "2", "--scale", "6"},
+               out, err);
+    EXPECT_EQ(code, 2);
+    EXPECT_TRUE(out.empty());
+    EXPECT_EQ(err, "dalorex: ruche_factor 2 must be below the grid width "
+                   "2 on torus-ruche\n");
 }
 
 TEST(CliMain, TextReportMentionsKernelAndCycles)

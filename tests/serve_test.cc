@@ -253,6 +253,65 @@ TEST(Protocol, GoldenRunRequestBytesAndPointHash)
     EXPECT_EQ(pointHash(o), 17642121535193863623ull);
 }
 
+TEST(Protocol, RucheFactorOneIsRefusedWithTheCliRangeText)
+{
+    const ParsedRequest p = parseRequestLine(
+        R"({"type":"run","id":"r1","topology":"torus-ruche",)"
+        R"("ruche_factor":1})");
+    EXPECT_FALSE(p.ok);
+    EXPECT_EQ(p.error, "ruche_factor must be 0 or in [2, 64], got 1");
+    const char* argv[] = {"dalorex", "--ruche-factor", "1"};
+    EXPECT_EQ(cli::parseArgs(3, argv).error,
+              "--ruche-factor must be 0 or in [2, 64], got 1");
+}
+
+TEST(Protocol, DatasetScaleIsRefusedWhereTheDatasetIgnoresIt)
+{
+    // RMAT by scale, rmatN and file: datasets fix their own size; the
+    // refusal is the text sweep's expand gives for NAME@SCALE.
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"", "rmatN datasets carry their scale in the name; drop @14 "
+             "from rmat12"},
+        {"rmat10", "rmatN datasets carry their scale in the name; "
+                   "drop @14 from rmat10"},
+        {"file:g.dlx",
+         "file: datasets are fixed size; drop @14 from file:g.dlx"},
+    };
+    for (const auto& [dataset, error] : cases) {
+        const ParsedRequest p = parseRequestLine(
+            R"({"type":"run","id":"d","dataset":")" + dataset +
+            R"(","dataset_scale":14})");
+        EXPECT_FALSE(p.ok) << dataset;
+        EXPECT_EQ(p.error, error);
+        if (dataset.empty())
+            continue; // sweep spells RMAT by scale as --scale
+        sweep::Plan plan;
+        plan.kernels = {kernelOrDie("bfs")};
+        plan.grids = {{2, 2}};
+        plan.datasets = {{dataset, 14}};
+        EXPECT_EQ(sweep::expand(plan).error, error);
+    }
+    // A named stand-in takes it.
+    EXPECT_TRUE(parseRequestLine(
+                    R"({"type":"run","id":"d","dataset":"wiki",)"
+                    R"("dataset_scale":14})")
+                    .ok);
+}
+
+TEST(Protocol, PriorityOutsideIntRangeIsRefusedBeforeTheCast)
+{
+    // 1e300 has no int value: converting it first would be undefined
+    // behaviour (caught by -fsanitize=float-cast-overflow).
+    for (const char* priority : {"1e300", "-1e300", "1.5"}) {
+        const ParsedRequest p = parseRequestLine(
+            std::string(R"({"type":"run","id":"p","priority":)") +
+            priority + "}");
+        EXPECT_FALSE(p.ok) << priority;
+        EXPECT_EQ(p.error, "priority must be an integer in [-100, 100]");
+        EXPECT_EQ(p.request.id, "p");
+    }
+}
+
 TEST(Protocol, ResultPayloadExtractionIsExact)
 {
     const std::string payload =
@@ -530,6 +589,27 @@ TEST(ServerCore, BadLinesGetErrorsAndTheDaemonKeepsServing)
     EXPECT_TRUE(capture.findLine("accepted", "ok-after-errors", line));
     EXPECT_TRUE(capture.findLine("result", "ok-after-errors", line));
     EXPECT_TRUE(capture.findLine("accepted", "q", line));
+}
+
+TEST(ServerCore, RucheFactorAtGridWidthAnswersErrorAndKeepsServing)
+{
+    // A 2-wide torus-ruche grid cannot hold a ruche link of 2 hops;
+    // that request fails alone instead of killing the daemon.
+    Server server(1);
+    Capture capture;
+    const std::uint64_t conn = server.openConnection(capture.sink());
+    server.handleLine(conn,
+                      runLine("ruche", ",\"topology\":\"torus-ruche\""));
+    server.handleLine(conn, runLine("after-ruche"));
+    server.requestShutdown();
+    server.serve();
+
+    std::string line;
+    ASSERT_TRUE(capture.findLine("error", "ruche", line));
+    EXPECT_NE(line.find("ruche_factor 2 must be below the grid width 2"),
+              std::string::npos)
+        << line;
+    EXPECT_TRUE(capture.findLine("result", "after-ruche", line));
 }
 
 TEST(ServerCore, ResultPayloadIsByteIdenticalToStandaloneRun)

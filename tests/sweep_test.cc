@@ -480,22 +480,18 @@ TEST(SweepParse, EngineThreadsAndParamFlags)
     const std::vector<const char*> args = {
         "sweep",         "--engine-threads", "1,4",
         "--engine-scan", "full",
-        "--param",       "damping=0.9,iterations=20",
-        "--pagerank-iters", "7"};
+        "--param",       "damping=0.9,iterations=20"};
     const SweepParseResult parsed =
         parseSweepArgs(static_cast<int>(args.size()), args.data());
     ASSERT_TRUE(parsed.ok) << parsed.error;
     const Plan& plan = parsed.options.plan;
     EXPECT_EQ(plan.engineThreads, (std::vector<unsigned>{1, 4}));
     EXPECT_EQ(plan.engineScan, EngineScan::full);
-    ASSERT_EQ(plan.params.size(), 3u);
+    ASSERT_EQ(plan.params.size(), 2u);
     EXPECT_EQ(plan.params[0].name, "damping");
     EXPECT_DOUBLE_EQ(plan.params[0].value, 0.9);
     EXPECT_EQ(plan.params[1].name, "iterations");
     EXPECT_DOUBLE_EQ(plan.params[1].value, 20.0);
-    // --pagerank-iters survives as a deprecated --param alias.
-    EXPECT_EQ(plan.params[2].name, "iterations");
-    EXPECT_DOUBLE_EQ(plan.params[2].value, 7.0);
 
     std::string out;
     std::string err;
@@ -511,6 +507,12 @@ TEST(SweepParse, EngineThreadsAndParamFlags)
               2);
     EXPECT_NE(err.find("below the largest"), std::string::npos);
     EXPECT_EQ(runSweep({"--engine-scan", "lazy"}, out, err), 2);
+    // The retired --pagerank-iters alias is an unknown option now.
+    err.clear();
+    EXPECT_EQ(runSweep({"--pagerank-iters", "7"}, out, err), 2);
+    EXPECT_NE(err.find("unknown option: --pagerank-iters"),
+              std::string::npos)
+        << err;
 }
 
 TEST(SweepParse, EngineBarrierAndRebalanceFlags)
@@ -528,6 +530,26 @@ TEST(SweepParse, EngineBarrierAndRebalanceFlags)
     std::string err;
     EXPECT_EQ(runSweep({"--engine-barrier", "mcs"}, out, err), 2);
     EXPECT_NE(err.find("--engine-barrier"), std::string::npos);
+}
+
+TEST(SweepMain, RucheFactorAtGridWidthFailsOnlyItsRow)
+{
+    // The 2x2 torus-ruche point cannot be built; the 8x8 one still
+    // renders and the sweep exits 1 for the failed row.
+    std::string out;
+    std::string err;
+    const int code = runSweep({"--kernel", "bfs", "--grid-size",
+                               "2x2,8x8", "--topology", "torus-ruche",
+                               "--scale", "6", "--threads", "1",
+                               "--json"},
+                              out, err);
+    EXPECT_EQ(code, 1) << err;
+    EXPECT_NE(err.find("point 1/2: ruche_factor 2 must be below the "
+                       "grid width 2"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(out.find("\"width\":8,"), std::string::npos) << out;
+    EXPECT_EQ(out.find("\"width\":2,"), std::string::npos) << out;
 }
 
 TEST(SweepMain, EngineThreadsAboveGridTilesRunsClampedWithNote)
