@@ -146,6 +146,8 @@ usageText()
         usage += std::string("  ") + sub.name + "\n      " +
                  sub.summary + "\n";
     return usage + "\nscenario:\n" + axisHelp(onCli) +
+        "  The --engine-* axes set simulator speed only: stats are\n"
+        "  byte-identical for every value.\n"
         "\n"
         "output:\n"
         "  --json                emit one JSON object instead of text\n"

@@ -212,7 +212,7 @@ scenarioAxes()
         // MachineConfig runs 0 engine threads as 1; render them so.
         {.key = "engine_threads", .flag = "--engine-threads", .min = 1,
          .max = 256, .surfaces = all,
-         .help = "engine worker threads, clamped to the tile count",
+         .help = "engine worker threads (clamped to the tile count)",
          .get = [](const Options& o) {
              return std::uint64_t(std::max(1u, o.machine.engineThreads));
          },

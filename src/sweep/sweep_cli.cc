@@ -316,6 +316,8 @@ sweepUsageText()
         " (default: first --grid-size)\n"
         "  --quick / --full      stand-in scale for named datasets"
         " (default quick)\n"
+        "  The --engine-* axes set simulator speed only: results are\n"
+        "  byte-identical for every value.\n"
         "\n"
         "execution and output:\n"
         "  --threads N           total thread budget [1, 256]"

@@ -114,7 +114,7 @@ TEST(Protocol, ParsesFullRunRequest)
     EXPECT_EQ(r.options.params[0].name, "damping");
     EXPECT_EQ(r.options.seed, 7u);
     EXPECT_TRUE(r.options.validate);
-    // Mesh never has a ruche factor (mirrors cli::parseArgs).
+    // Mesh never has a ruche factor (the shared normalizer).
     EXPECT_EQ(r.options.machine.rucheFactor, 0u);
 }
 
