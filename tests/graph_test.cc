@@ -325,6 +325,34 @@ referenceCsr(VertexId num_vertices, const EdgeList& edges,
     return g;
 }
 
+/** Build `edges` under all eight option combinations, unweighted and
+ *  with `weights`, and compare every result to referenceCsr(). */
+void
+expectMatchesReference(VertexId num_vertices, const EdgeList& edges,
+                       const std::vector<Word>& weights,
+                       const std::string& what)
+{
+    for (unsigned combo = 0; combo < 8; ++combo) {
+        CsrBuildOptions opts;
+        opts.removeSelfLoops = combo & 1;
+        opts.dedup = combo & 2;
+        opts.symmetrize = combo & 4;
+        for (const bool weighted : {false, true}) {
+            const std::vector<Word> w =
+                weighted ? weights : std::vector<Word>{};
+            const Csr got = buildCsr(num_vertices, edges, opts, w);
+            const Csr want = referenceCsr(num_vertices, edges, w, opts);
+            SCOPED_TRACE(what + " options " + std::to_string(combo) +
+                         (weighted ? " weighted" : ""));
+            EXPECT_EQ(got.numVertices, want.numVertices);
+            EXPECT_EQ(got.numEdges, want.numEdges);
+            EXPECT_EQ(got.rowPtr, want.rowPtr);
+            EXPECT_EQ(got.colIdx, want.colIdx);
+            EXPECT_EQ(got.weights, want.weights);
+        }
+    }
+}
+
 TEST(CsrDifferential, MatchesSortUniqueReference)
 {
     for (std::uint64_t seed = 1; seed <= 200; ++seed) {
@@ -343,28 +371,94 @@ TEST(CsrDifferential, MatchesSortUniqueReference)
                 static_cast<VertexId>(rng.below(num_vertices)));
             weights.push_back(static_cast<Word>(rng.range(1, 4)));
         }
-        for (unsigned combo = 0; combo < 8; ++combo) {
-            CsrBuildOptions opts;
-            opts.removeSelfLoops = combo & 1;
-            opts.dedup = combo & 2;
-            opts.symmetrize = combo & 4;
-            for (const bool weighted : {false, true}) {
-                const std::vector<Word> w =
-                    weighted ? weights : std::vector<Word>{};
-                const Csr got = buildCsr(num_vertices, edges, opts, w);
-                const Csr want =
-                    referenceCsr(num_vertices, edges, w, opts);
-                SCOPED_TRACE("seed " + std::to_string(seed) +
-                             " options " + std::to_string(combo) +
-                             (weighted ? " weighted" : ""));
-                EXPECT_EQ(got.numVertices, want.numVertices);
-                EXPECT_EQ(got.numEdges, want.numEdges);
-                EXPECT_EQ(got.rowPtr, want.rowPtr);
-                EXPECT_EQ(got.colIdx, want.colIdx);
-                EXPECT_EQ(got.weights, want.weights);
+        expectMatchesReference(num_vertices, edges, weights,
+                               "seed " + std::to_string(seed));
+    }
+}
+
+TEST(CsrDifferential, HubRowsAndLongParallelRuns)
+{
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        Rng rng(seed);
+        const auto num_vertices =
+            static_cast<VertexId>(2 + rng.below(30));
+        const auto hub = static_cast<VertexId>(rng.below(num_vertices));
+        EdgeList edges;
+        std::vector<Word> weights;
+        // Hub rows of 17 to 200 slots, in and out of `hub` (so the
+        // symmetrized hub row is longer still), with self loops and
+        // short runs of parallel edges mixed in.
+        const std::size_t hub_slots = 17 + rng.below(184);
+        for (std::size_t i = 0; i < hub_slots; ++i) {
+            const auto other =
+                static_cast<VertexId>(rng.below(num_vertices));
+            if (rng.below(3) == 0)
+                edges.emplace_back(other, hub);
+            else
+                edges.emplace_back(hub, other);
+            weights.push_back(static_cast<Word>(rng.range(1, 1000)));
+        }
+        // Runs of 3 to 8 parallel copies of one edge, a self loop
+        // among them, each copy with a distinct weight in shuffled
+        // order and the copies interleaved with other edges, so the
+        // smallest weight can sit anywhere in the run.
+        for (int run = 0; run < 6; ++run) {
+            const auto u = static_cast<VertexId>(rng.below(num_vertices));
+            const auto v = run == 0
+                               ? u
+                               : static_cast<VertexId>(
+                                     rng.below(num_vertices));
+            const std::size_t copies = 3 + rng.below(6);
+            std::vector<Word> run_weights;
+            for (std::size_t c = 0; c < copies; ++c)
+                run_weights.push_back(static_cast<Word>(100 + 7 * c));
+            for (std::size_t c = copies - 1; c > 0; --c)
+                std::swap(run_weights[c], run_weights[rng.below(c + 1)]);
+            for (const Word w : run_weights) {
+                const auto at = rng.below(edges.size() + 1);
+                edges.insert(edges.begin() + static_cast<long>(at),
+                             {u, v});
+                weights.insert(weights.begin() + static_cast<long>(at),
+                               w);
             }
         }
+        expectMatchesReference(num_vertices, edges, weights,
+                               "seed " + std::to_string(seed));
     }
+}
+
+TEST(CsrDifferential, ParallelRunKeepsSmallestWeightFirst)
+{
+    // (0,1) four times and (1,0) once, with unsorted distinct weights,
+    // plus a self loop on 1 twice.
+    const EdgeList edges = {{0, 1}, {1, 1}, {0, 1}, {1, 0},
+                            {0, 1}, {1, 1}, {0, 1}};
+    const std::vector<Word> weights = {30, 8, 10, 25, 40, 6, 20};
+
+    CsrBuildOptions keep_all;
+    keep_all.dedup = false;
+    keep_all.removeSelfLoops = false;
+    const Csr all = buildCsr(2, edges, keep_all, weights);
+    EXPECT_EQ(all.rowPtr, (std::vector<EdgeId>{0, 4, 7}));
+    EXPECT_EQ(all.colIdx, (std::vector<VertexId>{1, 1, 1, 1, 0, 1, 1}));
+    EXPECT_EQ(all.weights,
+              (std::vector<Word>{10, 20, 30, 40, 25, 6, 8}));
+
+    CsrBuildOptions dedup;
+    dedup.removeSelfLoops = false;
+    const Csr one = buildCsr(2, edges, dedup, weights);
+    EXPECT_EQ(one.rowPtr, (std::vector<EdgeId>{0, 1, 3}));
+    EXPECT_EQ(one.colIdx, (std::vector<VertexId>{1, 0, 1}));
+    EXPECT_EQ(one.weights, (std::vector<Word>{10, 25, 6}));
+
+    // Symmetrizing keeps one self-loop slot, not two mirrored ones.
+    CsrBuildOptions sym;
+    sym.removeSelfLoops = false;
+    sym.symmetrize = true;
+    const Csr s = buildCsr(2, edges, sym, weights);
+    EXPECT_EQ(s.rowPtr, (std::vector<EdgeId>{0, 1, 3}));
+    EXPECT_EQ(s.colIdx, (std::vector<VertexId>{1, 0, 1}));
+    EXPECT_EQ(s.weights, (std::vector<Word>{10, 10, 6}));
 }
 
 TEST(CsrDifferential, WeightCountMustMatchEdges)
