@@ -40,21 +40,41 @@ BM_RmatGeneration(benchmark::State& state)
 }
 BENCHMARK(BM_RmatGeneration)->Arg(12)->Arg(14);
 
+/** buildCsr() on RMAT edges at scale state.range(0), under `opts`,
+ *  unweighted or with uniform weights in [1, 64]. */
 void
-BM_CsrBuild(benchmark::State& state)
+BM_CsrBuild(benchmark::State& state, CsrBuildOptions opts, bool weighted)
 {
     RmatParams params;
     params.scale = static_cast<unsigned>(state.range(0));
     const EdgeList edges = rmatEdges(params);
+    std::vector<Word> weights;
+    if (weighted) {
+        Rng rng(3);
+        for (std::size_t i = 0; i < edges.size(); ++i)
+            weights.push_back(static_cast<Word>(rng.range(1, 64)));
+    }
     for (auto _ : state) {
         benchmark::DoNotOptimize(
-            buildCsr(VertexId(1) << params.scale, edges));
+            buildCsr(VertexId(1) << params.scale, edges, opts, weights));
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(edges.size()));
 }
-BENCHMARK(BM_CsrBuild)->Arg(12)->Arg(14);
+// The default options (self loops dropped, deduplicated); rmatGraph()'s
+// (self loops dropped, parallel edges kept); symmetrize()'s; and a
+// weighted default build.
+BENCHMARK_CAPTURE(BM_CsrBuild, dedup, CsrBuildOptions{}, false)
+    ->Arg(12)->Arg(14)->Arg(16);
+BENCHMARK_CAPTURE(BM_CsrBuild, rmat, CsrBuildOptions{true, false, false},
+                  false)
+    ->Arg(12)->Arg(14)->Arg(16);
+BENCHMARK_CAPTURE(BM_CsrBuild, symmetrize,
+                  CsrBuildOptions{true, true, true}, false)
+    ->Arg(12)->Arg(14)->Arg(16);
+BENCHMARK_CAPTURE(BM_CsrBuild, weighted, CsrBuildOptions{}, true)
+    ->Arg(12)->Arg(14)->Arg(16);
 
 void
 BM_QueuePushPop(benchmark::State& state)

@@ -25,59 +25,6 @@ Csr::checkInvariants() const
         panic_if(dst >= numVertices, "colIdx out of range: ", dst);
 }
 
-namespace
-{
-
-/** A weighted slot sorts as one (destination, weight) integer, so the
- *  first of a run of parallel edges carries the smallest weight. */
-std::uint64_t
-packSlot(VertexId dst, Word w)
-{
-    return (std::uint64_t(dst) << 32) | w;
-}
-
-VertexId slotDst(VertexId slot) { return slot; }
-
-VertexId
-slotDst(std::uint64_t slot)
-{
-    return static_cast<VertexId>(slot >> 32);
-}
-
-/**
- * Sort every row of `slots` (row starts in rowPtr) and, when `dedup`,
- * keep only the first slot of each run with one destination,
- * compacting the rows in place and rewriting rowPtr to match.
- * Returns the number of slots kept.
- */
-template <typename Slot>
-EdgeId
-sortRows(std::vector<EdgeId>& row_ptr, std::vector<Slot>& slots,
-         bool dedup)
-{
-    EdgeId kept = 0;
-    EdgeId begin = 0;
-    for (std::size_t v = 0; v + 1 < row_ptr.size(); ++v) {
-        const EdgeId end = row_ptr[v + 1];
-        std::sort(slots.begin() + begin, slots.begin() + end);
-        if (dedup) {
-            row_ptr[v] = kept;
-            for (EdgeId i = begin; i < end; ++i) {
-                if (kept > row_ptr[v] &&
-                    slotDst(slots[kept - 1]) == slotDst(slots[i]))
-                    continue;
-                slots[kept++] = slots[i];
-            }
-        }
-        begin = end;
-    }
-    if (dedup)
-        row_ptr.back() = kept;
-    return row_ptr.back();
-}
-
-} // namespace
-
 Csr
 buildCsr(VertexId num_vertices, const EdgeList& edges,
          const CsrBuildOptions& opts,
@@ -86,14 +33,20 @@ buildCsr(VertexId num_vertices, const EdgeList& edges,
     panic_if(!weights.empty() && weights.size() != edges.size(),
              "weights size ", weights.size(), " != edge count ",
              edges.size());
+    const bool weighted = !weights.empty();
+    const bool dedup = opts.dedup || opts.symmetrize;
 
     Csr graph;
     graph.numVertices = num_vertices;
     std::vector<EdgeId>& row_ptr = graph.rowPtr;
     row_ptr.assign(static_cast<std::size_t>(num_vertices) + 1, 0);
+    // col_ptr buckets the slots by destination the way row_ptr does
+    // by source.
+    std::vector<EdgeId> col_ptr(row_ptr.size(), 0);
 
-    // Count each row's slots one entry to the right, so the prefix sum
-    // leaves row u's start in rowPtr[u].
+    // Count each row's and each column's slots one entry to the
+    // right, so the prefix sums leave row u's start in rowPtr[u] and
+    // column v's in col_ptr[v].
     std::uint64_t num_slots = 0;
     for (const auto& [u, v] : edges) {
         panic_if(u >= num_vertices || v >= num_vertices,
@@ -102,55 +55,101 @@ buildCsr(VertexId num_vertices, const EdgeList& edges,
         if (opts.removeSelfLoops && u == v)
             continue;
         ++row_ptr[u + 1];
+        ++col_ptr[v + 1];
         ++num_slots;
         if (opts.symmetrize && u != v) {
             ++row_ptr[v + 1];
+            ++col_ptr[u + 1];
             ++num_slots;
         }
     }
     panic_if(num_slots > std::numeric_limits<EdgeId>::max(),
              "edge count ", num_slots, " exceeds the 32-bit domain");
-    for (VertexId v = 0; v < num_vertices; ++v)
+    for (VertexId v = 0; v < num_vertices; ++v) {
         row_ptr[v + 1] += row_ptr[v];
+        col_ptr[v + 1] += col_ptr[v];
+    }
 
-    // Scatter every slot into its row, using rowPtr[u] as row u's
-    // cursor; afterwards rowPtr[u] holds row u + 1's start, so shift
-    // the array back by one.
-    auto scatter = [&](auto& slots, auto slot_of) {
-        slots.resize(num_slots);
-        for (std::size_t i = 0; i < edges.size(); ++i) {
-            const auto [u, v] = edges[i];
-            if (opts.removeSelfLoops && u == v)
-                continue;
-            slots[row_ptr[u]++] = slot_of(i, v);
-            if (opts.symmetrize && u != v)
-                slots[row_ptr[v]++] = slot_of(i, u);
-        }
-        for (VertexId v = num_vertices; v > 0; --v)
-            row_ptr[v] = row_ptr[v - 1];
-        row_ptr[0] = 0;
+    // Pass 1: bucket every slot's source (and weight) by destination,
+    // in input order, using col_ptr[v] as column v's cursor;
+    // afterwards col_ptr[v] holds column v's end.
+    std::vector<VertexId> src(num_slots);
+    std::vector<Word> src_weight(weighted ? num_slots : 0);
+    auto place = [&](VertexId u, VertexId v, std::size_t i) {
+        const EdgeId at = col_ptr[v]++;
+        src[at] = u;
+        if (weighted)
+            src_weight[at] = weights[i];
     };
-    const bool dedup = opts.dedup || opts.symmetrize;
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        const auto [u, v] = edges[i];
+        if (opts.removeSelfLoops && u == v)
+            continue;
+        place(u, v, i);
+        if (opts.symmetrize && u != v)
+            place(v, u, i);
+    }
 
-    if (weights.empty()) {
-        scatter(graph.colIdx, [](std::size_t, VertexId dst) {
-            return dst;
-        });
-        graph.numEdges = sortRows(row_ptr, graph.colIdx, dedup);
-        graph.colIdx.resize(graph.numEdges);
-    } else {
-        std::vector<std::uint64_t> slots;
-        scatter(slots, [&](std::size_t i, VertexId dst) {
-            return packSlot(dst, weights[i]);
-        });
-        graph.numEdges = sortRows(row_ptr, slots, dedup);
-        graph.colIdx.resize(graph.numEdges);
-        graph.weights.resize(graph.numEdges);
-        for (EdgeId i = 0; i < graph.numEdges; ++i) {
-            graph.colIdx[i] = slotDst(slots[i]);
-            graph.weights[i] = static_cast<Word>(slots[i]);
+    // Pass 2: walk the columns in ascending order and append each
+    // slot to its source's row, using rowPtr[u] as row u's cursor.
+    // Every row comes out sorted by destination, parallel edges in
+    // input order. Afterwards rowPtr[u] holds row u + 1's start, so
+    // shift the array back by one.
+    graph.colIdx.resize(num_slots);
+    graph.weights.resize(src_weight.size());
+    EdgeId begin = 0;
+    for (VertexId v = 0; v < num_vertices; ++v) {
+        const EdgeId end = col_ptr[v];
+        for (EdgeId i = begin; i < end; ++i) {
+            const EdgeId at = row_ptr[src[i]]++;
+            graph.colIdx[at] = v;
+            if (weighted)
+                graph.weights[at] = src_weight[i];
+        }
+        begin = end;
+    }
+    for (VertexId v = num_vertices; v > 0; --v)
+        row_ptr[v] = row_ptr[v - 1];
+    row_ptr[0] = 0;
+
+    // When deduplicating, keep only the smallest-weight copy of each
+    // run of parallel edges, compacting the rows in place and
+    // rewriting rowPtr to match; otherwise sort each run by weight.
+    if (dedup || weighted) {
+        std::vector<VertexId>& col = graph.colIdx;
+        const auto w = graph.weights.begin();
+        EdgeId kept = 0;
+        begin = 0;
+        for (VertexId u = 0; u < num_vertices; ++u) {
+            const EdgeId end = row_ptr[u + 1];
+            if (dedup)
+                row_ptr[u] = kept;
+            for (EdgeId i = begin; i < end;) {
+                EdgeId run_end = i + 1;
+                while (run_end < end && col[run_end] == col[i])
+                    ++run_end;
+                if (weighted && dedup)
+                    w[i] = *std::min_element(w + i, w + run_end);
+                else if (weighted)
+                    std::sort(w + i, w + run_end);
+                if (dedup) {
+                    col[kept] = col[i];
+                    if (weighted)
+                        w[kept] = w[i];
+                    ++kept;
+                }
+                i = run_end;
+            }
+            begin = end;
+        }
+        if (dedup) {
+            row_ptr.back() = kept;
+            col.resize(kept);
+            if (weighted)
+                graph.weights.resize(kept);
         }
     }
+    graph.numEdges = row_ptr.back();
 
     graph.checkInvariants();
     return graph;
@@ -160,7 +159,7 @@ Csr
 symmetrize(const Csr& graph)
 {
     EdgeList edges;
-    edges.reserve(static_cast<std::size_t>(graph.numEdges) * 2);
+    edges.reserve(graph.numEdges);
     for (VertexId u = 0; u < graph.numVertices; ++u) {
         for (EdgeId i = graph.rowPtr[u]; i < graph.rowPtr[u + 1]; ++i)
             edges.emplace_back(u, graph.colIdx[i]);

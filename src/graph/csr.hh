@@ -68,10 +68,15 @@ struct CsrBuildOptions
 };
 
 /**
- * Build a CSR from an unordered edge list by bucketing edges into rows
- * (a counting sort on the source), then sorting each row by
- * (destination, weight). Parallel edges are kept in that order, or
- * reduced to their first — smallest-weight — copy when deduplicating.
+ * Build a CSR from an unordered edge list with two stable counting
+ * passes: bucket every slot (an edge, plus its reverse when
+ * symmetrizing) by destination, then walk the destinations in
+ * ascending order and append each slot to its source's row. Every row
+ * comes out sorted by destination, parallel edges in input order; one
+ * linear pass then sorts each run of parallel edges by weight and,
+ * when deduplicating, keeps only the run's first (smallest-weight)
+ * copy. Beyond the result it allocates one (V+1) column-offset array
+ * and, per slot, a 4-byte source (plus a weight when weighted).
  *
  * @param num_vertices Vertex-id domain [0, num_vertices).
  * @param edges        Directed edge list; ids must be < num_vertices.

@@ -24,7 +24,13 @@ datasetLabel(const cli::Report& report)
     return label;
 }
 
-/** Every axis except the grid shape: rows sharing it form a group. */
+/**
+ * Rows sharing this key form a group. It holds every axis that varies
+ * per point except the grid shape, plus the plan-wide seed, ruche
+ * factor, invoke overhead and scratchpad provision. The other
+ * plan-wide settings (engine scan, barrier and rebalance, `params`,
+ * `validate`) are the same on every row, so they are left out.
+ */
 std::string
 groupKey(const cli::Report& report)
 {

@@ -398,8 +398,8 @@ TEST(CsrDifferential, HubRowsAndLongParallelRuns)
                 edges.emplace_back(hub, other);
             weights.push_back(static_cast<Word>(rng.range(1, 1000)));
         }
-        // Runs of 3 to 8 parallel copies of one edge, a self loop
-        // among them, each copy with a distinct weight in shuffled
+        // Runs of 3 to 8 parallel copies of one edge (the first run a
+        // self loop), each copy with a distinct weight in shuffled
         // order and the copies interleaved with other edges, so the
         // smallest weight can sit anywhere in the run.
         for (int run = 0; run < 6; ++run) {
@@ -425,40 +425,6 @@ TEST(CsrDifferential, HubRowsAndLongParallelRuns)
         expectMatchesReference(num_vertices, edges, weights,
                                "seed " + std::to_string(seed));
     }
-}
-
-TEST(CsrDifferential, ParallelRunKeepsSmallestWeightFirst)
-{
-    // (0,1) four times and (1,0) once, with unsorted distinct weights,
-    // plus a self loop on 1 twice.
-    const EdgeList edges = {{0, 1}, {1, 1}, {0, 1}, {1, 0},
-                            {0, 1}, {1, 1}, {0, 1}};
-    const std::vector<Word> weights = {30, 8, 10, 25, 40, 6, 20};
-
-    CsrBuildOptions keep_all;
-    keep_all.dedup = false;
-    keep_all.removeSelfLoops = false;
-    const Csr all = buildCsr(2, edges, keep_all, weights);
-    EXPECT_EQ(all.rowPtr, (std::vector<EdgeId>{0, 4, 7}));
-    EXPECT_EQ(all.colIdx, (std::vector<VertexId>{1, 1, 1, 1, 0, 1, 1}));
-    EXPECT_EQ(all.weights,
-              (std::vector<Word>{10, 20, 30, 40, 25, 6, 8}));
-
-    CsrBuildOptions dedup;
-    dedup.removeSelfLoops = false;
-    const Csr one = buildCsr(2, edges, dedup, weights);
-    EXPECT_EQ(one.rowPtr, (std::vector<EdgeId>{0, 1, 3}));
-    EXPECT_EQ(one.colIdx, (std::vector<VertexId>{1, 0, 1}));
-    EXPECT_EQ(one.weights, (std::vector<Word>{10, 25, 6}));
-
-    // Symmetrizing keeps one self-loop slot, not two mirrored ones.
-    CsrBuildOptions sym;
-    sym.removeSelfLoops = false;
-    sym.symmetrize = true;
-    const Csr s = buildCsr(2, edges, sym, weights);
-    EXPECT_EQ(s.rowPtr, (std::vector<EdgeId>{0, 1, 3}));
-    EXPECT_EQ(s.colIdx, (std::vector<VertexId>{1, 0, 1}));
-    EXPECT_EQ(s.weights, (std::vector<Word>{10, 10, 6}));
 }
 
 TEST(CsrDifferential, WeightCountMustMatchEdges)

@@ -23,6 +23,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -128,19 +129,31 @@ def phase1_local_kill(dalorex, work):
 
 
 def start_daemon(dalorex, sock, journal_dir):
+    """Start `dalorex serve` and return once its socket accepts.
+
+    The path is unlinked first: a SIGKILLed daemon leaves its socket
+    file behind, so the file existing says nothing about the new
+    daemon having bound it yet.
+    """
+    if os.path.lexists(sock):
+        os.unlink(sock)
     proc = subprocess.Popen(
         [dalorex, "serve", "--socket", sock, "--workers", "1",
          "--journal-dir", journal_dir],
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     deadline = time.monotonic() + 15.0
     while time.monotonic() < deadline:
-        if os.path.exists(sock):
-            return proc
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+            try:
+                probe.connect(sock)
+                return proc
+            except OSError:
+                pass
         if proc.poll() is not None:
             sys.exit("chaos_smoke: daemon died on startup")
         time.sleep(0.05)
     proc.kill()
-    sys.exit("chaos_smoke: daemon never bound its socket")
+    sys.exit("chaos_smoke: daemon never accepted a connection")
 
 
 def phase2_daemon_kill(dalorex, work, ref_jsonl):
