@@ -739,6 +739,37 @@ TEST(ReportReconstruction, RebuiltReportAggregatesIdentically)
     // The reconstructed report renders the same JSON bytes again.
     EXPECT_EQ(cli::renderJson(rebuilt),
               cli::renderJson(local.report));
+
+    // The same round trip over every kernel, an epoch-synchronized
+    // run (epochs > 1) and a max_cycles timeout's partial report.
+    std::vector<cli::Options> scenarios;
+    for (const KernelInfo* kernel : allKernels()) {
+        cli::Options o = tinyOptions();
+        o.kernel = kernel;
+        o.validate = true;
+        scenarios.push_back(o);
+    }
+    cli::Options barrier = tinyOptions();
+    barrier.machine.barrier = true;
+    scenarios.push_back(barrier);
+    cli::Options timeout = tinyOptions();
+    timeout.machine.maxCycles = 40;
+    scenarios.push_back(timeout);
+    for (const cli::Options& o : scenarios) {
+        const cli::RunOutcome run = cli::runScenario(o);
+        const std::string json = cli::renderJson(run.report);
+        SCOPED_TRACE(json);
+        if (&o == &scenarios.back()) {
+            EXPECT_EQ(run.status, RunStatus::timeout);
+        } else {
+            ASSERT_TRUE(run.ok) << run.error;
+        }
+        if (o.machine.barrier) {
+            EXPECT_GT(run.report.stats.epochs, 1u);
+        }
+        ASSERT_TRUE(parseReportPayload(json, o, rebuilt, err)) << err;
+        EXPECT_EQ(cli::renderJson(rebuilt), json);
+    }
 }
 
 // --- stdin transport -------------------------------------------------
