@@ -89,12 +89,26 @@ void
 TreeBarrier::waitFor(std::atomic<std::uint64_t>& flag,
                      std::uint64_t epoch)
 {
-    // Short spin first: barrier partners in a cycle loop usually
-    // arrive within a handful of loads, and the spin touches only the
-    // waited-on node's cache line.
-    for (int spin = 0; spin < 256; ++spin) {
+    // Spin first: in a cycle loop barrier partners usually arrive
+    // within microseconds, while parking costs a futex sleep and wake
+    // on both sides of every sync. Past the first loads the spin
+    // yields, so a partner waiting for this core (more members than
+    // cores, or a busy host) runs, and it is bounded by wall time, so
+    // a partner that stays away still finds this member parked.
+    constexpr auto spinBudget = std::chrono::microseconds(50);
+    constexpr int loadsBeforeYield = 64;
+    for (int spin = 0; spin < loadsBeforeYield; ++spin) {
         if (flag.load(std::memory_order_acquire) >= epoch)
             return;
+#if defined(__x86_64__) || defined(__i386__)
+        __builtin_ia32_pause();
+#endif
+    }
+    const auto deadline = std::chrono::steady_clock::now() + spinBudget;
+    while (std::chrono::steady_clock::now() < deadline) {
+        if (flag.load(std::memory_order_acquire) >= epoch)
+            return;
+        std::this_thread::yield();
     }
     std::uint64_t seen = flag.load(std::memory_order_acquire);
     while (seen < epoch) {

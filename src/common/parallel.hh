@@ -145,7 +145,8 @@ class TreeBarrier final : public PhaseBarrier
         std::uint64_t epoch = 0;
     };
 
-    /** Spin briefly on `flag >= epoch`, then park on an atomic wait. */
+    /** Spin up to a fixed wall-time budget on `flag >= epoch`, then
+     *  park on an atomic wait. */
     static void waitFor(std::atomic<std::uint64_t>& flag,
                         std::uint64_t epoch);
 
