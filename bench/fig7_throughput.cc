@@ -37,13 +37,14 @@ main(int argc, char** argv)
                 name.c_str(), opts.full ? "full" : "quick");
 
     sweep::Plan plan;
-    plan.kernels = paperKernels(); // the paper's five (tag-selected)
+    for (const KernelInfo* kernel : paperKernels()) // the paper's five
+        plan.axes["kernel"].push_back(kernel->name);
     plan.datasets = {{name, 0}};
     plan.grids = {{16, 16}, {32, 32}};
-    plan.seed = opts.seed;
-    plan.validate = true; // as the old loop: every run checked
-    plan.params.push_back({"iterations", 5}); // bench budget
-    plan.scratchpadProvisionBytes = figProvisionBytes();
+    plan.base.seed = opts.seed;
+    plan.base.validate = true; // as the old loop: every run checked
+    plan.base.params.push_back({"iterations", 5}); // bench budget
+    plan.base.machine.scratchpadProvisionBytes = figProvisionBytes();
 
     std::vector<cli::Report> reports;
     {
@@ -58,8 +59,8 @@ main(int argc, char** argv)
         // The paper adds ruche channels above 32x32 (Sec. IV-A).
         sweep::Plan ruche = plan;
         ruche.grids = {{64, 64}};
-        ruche.topologies = {NocTopology::torusRuche};
-        ruche.rucheFactor = 4;
+        ruche.base.machine.topology = NocTopology::torusRuche;
+        ruche.base.machine.rucheFactor = 4;
         const sweep::RunResult run =
             sweep::run(ruche, opts.workerThreads());
         fatal_if(!run.ok, "fig7 sweep: ", run.error);

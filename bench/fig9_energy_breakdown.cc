@@ -35,16 +35,17 @@ main(int argc, char** argv)
 
     // Fig. 9 uses WK, LJ, R22 (no AZ) on 16x16...
     sweep::Plan plan;
-    plan.kernels = paperKernels(); // the paper's five (tag-selected)
+    for (const KernelInfo* kernel : paperKernels()) // the paper's five
+        plan.axes["kernel"].push_back(kernel->name);
     plan.datasets = {{"wiki", opts.full ? 0 : defaultQuickScale("wiki")},
                      {"livejournal",
                       opts.full ? 0 : defaultQuickScale("livejournal")},
                      {opts.full ? "rmat18" : "rmat13", 0}};
     plan.grids = {{16, 16}};
-    plan.seed = opts.seed;
-    plan.validate = true; // as the old loop: every run checked
-    plan.params.push_back({"iterations", 5}); // bench budget
-    plan.scratchpadProvisionBytes = figProvisionBytes();
+    plan.base.seed = opts.seed;
+    plan.base.validate = true; // as the old loop: every run checked
+    plan.base.params.push_back({"iterations", 5}); // bench budget
+    plan.base.machine.scratchpadProvisionBytes = figProvisionBytes();
 
     // ...plus the large-grid RMAT-26 stand-in (ruche above 32x32).
     sweep::Plan big = plan;
@@ -52,8 +53,8 @@ main(int argc, char** argv)
     big.grids = {opts.full ? sweep::GridShape{64, 64}
                            : sweep::GridShape{32, 32}};
     if (opts.full) {
-        big.topologies = {NocTopology::torusRuche};
-        big.rucheFactor = 4;
+        big.base.machine.topology = NocTopology::torusRuche;
+        big.base.machine.rucheFactor = 4;
     }
 
     std::vector<cli::Report> reports;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <ostream>
 #include <sstream>
 #include <vector>
@@ -366,96 +367,59 @@ runScenario(const Options& options, EngineArenas* pool,
 std::string
 renderJson(const Report& report)
 {
-    const Options& o = report.options;
-    const RunStats& s = report.stats;
-    std::ostringstream out;
-    out << "{";
-    out << "\"kernel\":\"" << o.kernel->name << "\",";
-    out << "\"dataset\":{"
-        << "\"name\":\"" << report.datasetName << "\","
-        << "\"vertices\":" << report.numVertices << ","
-        << "\"edges\":" << report.numEdges << ","
-        << "\"seed\":" << o.seed << "},";
-    out << "\"machine\":{"
-        << "\"width\":" << o.machine.width << ","
-        << "\"height\":" << o.machine.height << ","
-        << "\"tiles\":" << o.machine.numTiles() << ","
-        << "\"topology\":\"" << toString(o.machine.topology) << "\","
-        << "\"ruche_factor\":" << o.machine.rucheFactor << ","
-        << "\"policy\":\"" << toString(o.machine.policy) << "\","
-        << "\"distribution\":\"" << toString(o.machine.distribution)
-        << "\","
-        << "\"barrier\":" << (o.machine.barrier ? "true" : "false")
-        << ","
-        << "\"invoke_overhead\":" << o.machine.invokeOverhead << ","
-        << "\"engine_threads\":"
-        << std::max(1u, o.machine.engineThreads) << ","
-        << "\"engine_scan\":\"" << toString(o.machine.engineScan)
-        << "\","
-        << "\"engine_barrier\":\""
-        << toString(o.machine.engineBarrier) << "\","
-        << "\"engine_rebalance\":"
-        << (o.machine.engineRebalance ? "true" : "false") << "},";
-    out << "\"stats\":{"
-        << "\"cycles\":" << s.cycles << ","
-        << "\"epochs\":" << s.epochs << ","
-        << "\"invocations\":" << s.invocations << ","
-        << "\"edges_processed\":" << s.edgesProcessed << ","
-        << "\"pu_busy_cycles\":" << s.puBusyCycles << ","
-        << "\"pu_ops\":" << s.puOps << ","
-        << "\"sram_reads\":" << s.sramReads << ","
-        << "\"sram_writes\":" << s.sramWrites << ","
-        << "\"tsu_reads\":" << s.tsuReads << ","
-        << "\"tsu_writes\":" << s.tsuWrites << ","
-        << "\"local_bypass_msgs\":" << s.localBypassMsgs << ","
-        << "\"utilization\":" << Table::num(s.utilization()) << ","
-        << "\"scratchpad_bytes_total\":" << s.scratchpadBytesTotal
-        << ","
-        << "\"scratchpad_bytes_max\":" << s.scratchpadBytesMax << ","
-        << "\"noc\":{"
-        << "\"messages_injected\":" << s.noc.messagesInjected << ","
-        << "\"messages_delivered\":" << s.noc.messagesDelivered << ","
-        << "\"flit_hops\":" << s.noc.flitHops << ","
-        << "\"flit_wire_tiles\":" << s.noc.flitWireTiles << ","
-        << "\"router_passages\":" << s.noc.routerPassages << ","
-        << "\"delivery_stalls\":" << s.noc.deliveryStalls << "},"
-        // Simulator execution metrics: how much scan work the engine
-        // itself did. These vary with --engine-scan (and are the only
-        // stats that may), so the determinism suite normalizes them
-        // out before byte-comparing reports.
-        << "\"engine\":{"
-        << "\"stepped_cycles\":" << s.engineSteppedCycles << ","
-        << "\"noc_stepped_cycles\":" << s.nocSteppedCycles << ","
-        << "\"tile_scans\":" << s.tileScans << ","
-        << "\"router_scans\":" << s.routerScans << ","
-        << "\"active_tile_cycles_saved\":" << s.activeTileCyclesSaved
-        << ","
-        << "\"active_router_cycles_saved\":"
-        << s.activeRouterCyclesSaved << ","
-        << "\"rebalances\":" << s.engineRebalances << ","
-        << "\"tile_scan_occupancy\":"
-        << Table::num(s.tileScanOccupancy()) << ","
-        << "\"router_scan_occupancy\":"
-        << Table::num(s.routerScanOccupancy()) << "}},";
-    out << "\"energy\":{"
-        << "\"logic_j\":" << Table::num(report.energy.logicJ) << ","
-        << "\"memory_j\":" << Table::num(report.energy.memoryJ) << ","
-        << "\"network_j\":" << Table::num(report.energy.networkJ)
-        << ","
-        << "\"total_j\":" << Table::num(report.energy.totalJ()) << ","
-        << "\"logic_pct\":" << Table::num(report.energy.logicPct())
-        << ","
-        << "\"memory_pct\":" << Table::num(report.energy.memoryPct())
-        << ","
-        << "\"network_pct\":" << Table::num(report.energy.networkPct())
-        << "},";
-    out << "\"seconds\":" << Table::num(report.seconds) << ",";
-    out << "\"memory_bandwidth_bytes_per_sec\":"
-        << Table::num(report.bandwidthBytesPerSec) << ",";
-    out << "\"status\":\"" << toString(s.status) << "\",";
-    out << "\"validated\":" << (report.validated ? "true" : "false");
-    out << "}\n";
-    return out.str();
+    std::string out = "{";
+    std::string open; // the dotted path of the innermost open object
+    const std::vector<Axis>& axes = scenarioAxes();
+    // Per section, how far its axes rows have walked the axis table.
+    std::map<std::string, std::size_t> axesDone;
+    auto member = [&out](const std::string& key, const std::string& value) {
+        if (out.back() != '{')
+            out += ',';
+        out += "\"" + key + "\":" + value;
+    };
+    // Close objects until the open one encloses `section`.
+    auto closeTo = [&out, &open](const std::string& section) {
+        while (!open.empty() && section != open &&
+               section.rfind(open + ".", 0) != 0) {
+            out += '}';
+            const std::size_t dot = open.rfind('.');
+            open.erase(dot == std::string::npos ? 0 : dot);
+        }
+    };
+    for (const ReportField& field : reportFields()) {
+        const std::string section = field.section;
+        closeTo(section);
+        while (section != open) {
+            const std::size_t from = open.empty() ? 0 : open.size() + 1;
+            const std::size_t dot = section.find('.', from);
+            member(section.substr(from, dot - from), "{");
+            open = section.substr(0, dot);
+        }
+        switch (field.kind) {
+          case FieldKind::axes:
+            for (std::size_t& at = axesDone[section]; at < axes.size();) {
+                const Axis& axis = axes[at++];
+                if (axis.report != nullptr && section == axis.report)
+                    member(axis.key, renderAxis(axis, report.options));
+                if (std::string(field.key) == axis.key)
+                    break;
+            }
+            break;
+          case FieldKind::text:
+            member(field.key, serve::jsonQuote(field.text(report)));
+            break;
+          case FieldKind::flag:
+            member(field.key, field.get(report) != 0 ? "true" : "false");
+            break;
+          case FieldKind::real:
+            member(field.key, Table::num(field.real(report)));
+            break;
+          default:
+            member(field.key, std::to_string(field.get(report)));
+        }
+    }
+    closeTo("");
+    return out + "}\n";
 }
 
 std::string

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "common/text.hh"
 #include "graph/datasets.hh"
@@ -99,31 +100,6 @@ axisError(const Axis& axis, const std::string& name,
            ")";
 }
 
-/** The axis's value in `options` as a JSON value ("16", "\"torus\""). */
-std::string
-renderAxis(const Axis& axis, const Options& options)
-{
-    switch (axis.kind) {
-      case AxisKind::flag:
-        return axis.get(options) != 0 ? "true" : "false";
-      case AxisKind::choice:
-        return serve::jsonQuote(axis.choices[axis.get(options)][0]);
-      case AxisKind::kernel:
-        return serve::jsonQuote(options.kernel->name);
-      case AxisKind::dataset:
-        return serve::jsonQuote(options.dataset);
-      case AxisKind::params: {
-        std::string params;
-        for (const ParamOverride& p : options.params)
-            params += (params.empty() ? "" : ",") + p.name + "=" +
-                      formatDouble(p.value);
-        return serve::jsonQuote(params);
-      }
-      default:
-        return std::to_string(axis.get(options));
-    }
-}
-
 /** One --help entry: `left` padded to the text column and `text`
  *  word-wrapped under it. */
 std::string
@@ -154,9 +130,10 @@ scenarioAxes()
 {
     constexpr unsigned all = onCli | onSweepList | onServe;
     constexpr unsigned single = onCli | onSweep | onServe;
+    constexpr const char* machine = "machine";
     static const std::vector<Axis> axes = {
         {.key = "kernel", .flag = "--kernel", .kind = AxisKind::kernel,
-         .surfaces = all,
+         .surfaces = all, .perPoint = true, .report = "",
          .sweepHelp = "kernels, or all for every one (default all):"},
         {.key = "dataset", .flag = "--dataset", .kind = AxisKind::dataset,
          .surfaces = all,
@@ -174,34 +151,39 @@ scenarioAxes()
          .help = "vertex scale of a named stand-in (0 = native size):",
          FIELD(datasetScale)},
         {.key = "width", .flag = "--width", .min = 1, .max = 1024,
-         .surfaces = onCli | onServe, .help = "grid width",
-         FIELD(machine.width)},
+         .surfaces = onCli | onServe, .report = machine,
+         .help = "grid width", FIELD(machine.width)},
         {.key = "height", .flag = "--height", .min = 1, .max = 1024,
-         .surfaces = onCli | onServe, .help = "grid height",
-         FIELD(machine.height)},
+         .surfaces = onCli | onServe, .report = machine,
+         .help = "grid height", FIELD(machine.height)},
         {.key = "topology", .flag = "--topology", .kind = AxisKind::choice,
          .choices = {{"mesh"}, {"torus"}, {"torus-ruche", "ruche"}},
-         .surfaces = all, .help = "NoC:", FIELD(machine.topology)},
+         .surfaces = all, .perPoint = true, .report = machine,
+         .help = "NoC:", FIELD(machine.topology)},
         {.key = "ruche_factor", .flag = "--ruche-factor", .min = 2,
          .max = 64, .zeroUnsets = true, .surfaces = single,
+         .report = machine,
          .help = "ruche hop distance on torus-ruche, below the grid "
                  "width (0 = 2):",
          FIELD(machine.rucheFactor)},
         {.key = "policy", .flag = "--policy", .kind = AxisKind::choice,
          .choices = {{"round-robin", "rr"}, {"traffic-aware", "ta"}},
-         .surfaces = all, .help = "TSU scheduling:",
+         .surfaces = all, .perPoint = true, .report = machine,
+         .help = "TSU scheduling:",
          FIELD(machine.policy)},
         {.key = "distribution", .flag = "--distribution",
          .kind = AxisKind::choice,
          .choices = {{"low-order", "low"}, {"high-order", "high"}},
-         .surfaces = all, .help = "vertex placement:",
+         .surfaces = all, .perPoint = true, .report = machine,
+         .help = "vertex placement:",
          FIELD(machine.distribution)},
         {.key = "barrier", .flag = "--barrier", .kind = AxisKind::flag,
-         .surfaces = onCli | onServe,
+         .surfaces = onCli | onServe, .perPoint = true,
+         .report = machine,
          .help = "force epoch-synchronized execution",
          FIELD(machine.barrier)},
         {.key = "invoke_overhead", .flag = "--invoke-overhead",
-         .max = 1'000'000, .surfaces = single,
+         .max = 1'000'000, .surfaces = single, .report = machine,
          .help = "extra cycles per task invocation",
          FIELD(machine.invokeOverhead)},
         {.key = "max_cycles", .flag = "--max-cycles", .kind = AxisKind::u64,
@@ -211,7 +193,8 @@ scenarioAxes()
          FIELD(machine.maxCycles)},
         // MachineConfig runs 0 engine threads as 1; render them so.
         {.key = "engine_threads", .flag = "--engine-threads", .min = 1,
-         .max = 256, .surfaces = all,
+         .max = 256, .surfaces = all, .perPoint = true,
+         .report = machine,
          .help = "engine worker threads (clamped to the tile count)",
          .get = [](const Options& o) {
              return std::uint64_t(std::max(1u, o.machine.engineThreads));
@@ -221,16 +204,16 @@ scenarioAxes()
          }},
         {.key = "engine_scan", .flag = "--engine-scan",
          .kind = AxisKind::choice, .choices = {{"full"}, {"active"}},
-         .surfaces = single,
+         .surfaces = single, .report = machine,
          .help = "stepping; full is the exhaustive reference scan:",
          FIELD(machine.engineScan)},
         {.key = "engine_barrier", .flag = "--engine-barrier",
          .kind = AxisKind::choice, .choices = {{"tree"}, {"central"}},
-         .surfaces = single,
+         .surfaces = single, .report = machine,
          .help = "cycle-loop barrier; central is std::barrier:",
          FIELD(machine.engineBarrier)},
         {.key = "engine_rebalance", .flag = "--engine-rebalance",
-         .kind = AxisKind::flag, .surfaces = single,
+         .kind = AxisKind::flag, .surfaces = single, .report = machine,
          .help = "re-split the shard tile ranges as the active set moves",
          FIELD(machine.engineRebalance)},
         {.key = "scratchpad_bytes", .kind = AxisKind::u64,
@@ -243,7 +226,7 @@ scenarioAxes()
                  "iterations=20,epsilon=1e-5; keys a kernel does not "
                  "use are skipped"},
         {.key = "seed", .flag = "--seed", .kind = AxisKind::u64,
-         .max = anyU64, .surfaces = single,
+         .max = anyU64, .surfaces = single, .report = "dataset",
          .help = "dataset/weight seed", FIELD(seed)},
         {.key = "validate", .flag = "--validate", .kind = AxisKind::flag,
          .surfaces = single,
@@ -261,6 +244,155 @@ scenarioAxes()
 }
 
 #undef FIELD
+
+// A counter row over one Report member; the kind follows the member's
+// width, so the reader refuses a value the member cannot hold.
+#define COUNTER(section, key, member, ...)                            \
+    {section, key,                                                    \
+     sizeof(std::declval<Report&>().member) == 4 ? FieldKind::u32     \
+                                                 : FieldKind::u64,    \
+     [](const Report& r) { return std::uint64_t(r.member); },         \
+     [](Report& r, std::uint64_t v) {                                 \
+         r.member = static_cast<decltype(r.member)>(v);               \
+     },                                                               \
+     nullptr, nullptr, nullptr, __VA_ARGS__}
+
+// A derived row: a double over the report `r`, which the reader
+// recomputes from the counters instead of parsing.
+#define DERIVED(section, key, expr)                                   \
+    {section, key, FieldKind::real, nullptr, nullptr, nullptr,        \
+     nullptr, [](const Report& r) { return double(expr); }}
+
+const std::vector<ReportField>&
+reportFields()
+{
+    constexpr const char* dataset = "dataset";
+    constexpr const char* machine = "machine";
+    constexpr const char* stats = "stats";
+    constexpr const char* noc = "stats.noc";
+    constexpr const char* engine = "stats.engine";
+    constexpr const char* energy = "energy";
+    constexpr bool optional = true;
+    static const std::vector<ReportField> fields = {
+        {.section = "", .kind = FieldKind::axes},
+        {.section = dataset, .key = "name", .kind = FieldKind::text,
+         .text = [](const Report& r) { return r.datasetName; },
+         .setText = [](Report& r, const std::string& v) {
+             r.datasetName = v;
+         }},
+        COUNTER(dataset, "vertices", numVertices),
+        COUNTER(dataset, "edges", numEdges),
+        {.section = dataset, .kind = FieldKind::axes},
+        {.section = machine, .key = "height", .kind = FieldKind::axes},
+        {.section = machine, .key = "tiles", .kind = FieldKind::u32,
+         .get = [](const Report& r) {
+             return std::uint64_t(r.options.machine.numTiles());
+         }},
+        {.section = machine, .kind = FieldKind::axes},
+        COUNTER(stats, "cycles", stats.cycles),
+        COUNTER(stats, "epochs", stats.epochs),
+        COUNTER(stats, "invocations", stats.invocations),
+        COUNTER(stats, "edges_processed", stats.edgesProcessed),
+        COUNTER(stats, "pu_busy_cycles", stats.puBusyCycles),
+        COUNTER(stats, "pu_ops", stats.puOps),
+        COUNTER(stats, "sram_reads", stats.sramReads),
+        COUNTER(stats, "sram_writes", stats.sramWrites),
+        COUNTER(stats, "tsu_reads", stats.tsuReads),
+        COUNTER(stats, "tsu_writes", stats.tsuWrites),
+        COUNTER(stats, "local_bypass_msgs", stats.localBypassMsgs),
+        DERIVED(stats, "utilization", r.stats.utilization()),
+        COUNTER(stats, "scratchpad_bytes_total", stats.scratchpadBytesTotal),
+        COUNTER(stats, "scratchpad_bytes_max", stats.scratchpadBytesMax),
+        COUNTER(noc, "messages_injected", stats.noc.messagesInjected),
+        COUNTER(noc, "messages_delivered", stats.noc.messagesDelivered),
+        COUNTER(noc, "flit_hops", stats.noc.flitHops),
+        COUNTER(noc, "flit_wire_tiles", stats.noc.flitWireTiles),
+        COUNTER(noc, "router_passages", stats.noc.routerPassages),
+        COUNTER(noc, "delivery_stalls", stats.noc.deliveryStalls),
+        // Simulator execution metrics: how much scan work the engine
+        // itself did. These vary with --engine-scan (and are the only
+        // stats that may), so the determinism suite normalizes them
+        // out before byte-comparing reports.
+        COUNTER(engine, "stepped_cycles", stats.engineSteppedCycles,
+                optional),
+        COUNTER(engine, "noc_stepped_cycles", stats.nocSteppedCycles,
+                optional),
+        COUNTER(engine, "tile_scans", stats.tileScans, optional),
+        COUNTER(engine, "router_scans", stats.routerScans, optional),
+        COUNTER(engine, "active_tile_cycles_saved",
+                stats.activeTileCyclesSaved, optional),
+        COUNTER(engine, "active_router_cycles_saved",
+                stats.activeRouterCyclesSaved, optional),
+        COUNTER(engine, "rebalances", stats.engineRebalances, optional),
+        DERIVED(engine, "tile_scan_occupancy",
+                r.stats.tileScanOccupancy()),
+        DERIVED(engine, "router_scan_occupancy",
+                r.stats.routerScanOccupancy()),
+        DERIVED(energy, "logic_j", r.energy.logicJ),
+        DERIVED(energy, "memory_j", r.energy.memoryJ),
+        DERIVED(energy, "network_j", r.energy.networkJ),
+        DERIVED(energy, "total_j", r.energy.totalJ()),
+        DERIVED(energy, "logic_pct", r.energy.logicPct()),
+        DERIVED(energy, "memory_pct", r.energy.memoryPct()),
+        DERIVED(energy, "network_pct", r.energy.networkPct()),
+        DERIVED("", "seconds", r.seconds),
+        DERIVED("", "memory_bandwidth_bytes_per_sec",
+                r.bandwidthBytesPerSec),
+        {.section = "", .key = "status", .kind = FieldKind::text,
+         .text = [](const Report& r) {
+             return std::string(toString(r.stats.status));
+         },
+         .setText = [](Report& r, const std::string& v) {
+             for (const RunStatus status :
+                  {RunStatus::timeout, RunStatus::cancelled,
+                   RunStatus::deadlock})
+                 if (v == toString(status))
+                     r.stats.status = status;
+         },
+         .optional = true},
+        {.section = "", .key = "validated", .kind = FieldKind::flag,
+         .get = [](const Report& r) { return std::uint64_t(r.validated); },
+         .set = [](Report& r, std::uint64_t v) { r.validated = v != 0; },
+         .optional = true},
+    };
+    return fields;
+}
+
+#undef COUNTER
+#undef DERIVED
+
+std::string
+axisText(const Axis& axis, const Options& options)
+{
+    switch (axis.kind) {
+      case AxisKind::flag:
+        return axis.get(options) != 0 ? "true" : "false";
+      case AxisKind::choice:
+        return axis.choices[axis.get(options)][0];
+      case AxisKind::kernel:
+        return options.kernel->name;
+      case AxisKind::dataset:
+        return options.dataset;
+      case AxisKind::params: {
+        std::string params;
+        for (const ParamOverride& p : options.params)
+            params += (params.empty() ? "" : ",") + p.name + "=" +
+                      formatDouble(p.value);
+        return params;
+      }
+      default:
+        return std::to_string(axis.get(options));
+    }
+}
+
+std::string
+renderAxis(const Axis& axis, const Options& options)
+{
+    const std::string text = axisText(axis, options);
+    return numeric(axis) || axis.kind == AxisKind::flag
+               ? text
+               : serve::jsonQuote(text);
+}
 
 const Axis*
 findAxis(const std::string& name, unsigned surface)
@@ -425,9 +557,7 @@ axisHelp(unsigned surfaces)
                          : "");
 
         const bool own = sweep && axis.sweepHelp != nullptr;
-        std::string def = renderAxis(axis, defaults);
-        if (def.front() == '"')
-            def = def.substr(1, def.size() - 2);
+        const std::string def = axisText(axis, defaults);
         std::string text = own ? axis.sweepHelp : axis.help;
         for (const std::string& part :
              {valueList(axis), rangeText(axis),

@@ -13,7 +13,16 @@
  * table order; and the scenario sections of the three --help texts
  * come from axisHelp(). An axis's default is the member initializer
  * of cli::Options (or MachineConfig). Adding an axis is one row in
- * scenario.cc plus the field it sets.
+ * scenario.cc plus the field it sets: `perPoint` makes a sweep plan
+ * list its values per point (sweep::Plan::axes, crossed by expand and
+ * told apart by the aggregate's groups), and `report` echoes it in a
+ * section of the JSON report.
+ *
+ * The report-field table below does the same for the JSON report:
+ * cli::renderJson writes it and serve::parseReportPayload (`--via`,
+ * journal replay) reads it back, row by row, so a new counter is one
+ * row there plus its RunStats member. A sweep row's columns are the
+ * column table in sweep/aggregate.cc, walked by toTable and toJsonl.
  */
 
 #ifndef DALOREX_CLI_SCENARIO_HH
@@ -70,6 +79,13 @@ struct Axis
     bool identity = true;
     /** Left out of a rendered request while it holds its default. */
     bool omitDefault = false;
+    /** A sweep plan lists its values per point (sweep::Plan::axes);
+     *  false: one plan-wide value (sweep::Plan::base). The dataset and
+     *  grid axes vary per point through Plan::datasets / Plan::grids. */
+    bool perPoint = false;
+    /** The JSON-report section that echoes the value ("" = top
+     *  level); nullptr: not in the report. */
+    const char* report = nullptr;
     const char* help = "";           //!< --help prose
     const char* sweepHelp = nullptr; //!< sweep's own prose, if any
     /** Numeric view of the field (u32/u64/flag/choice). */
@@ -97,6 +113,13 @@ bool parseAxis(const Axis& axis, const std::string& text,
 bool parseAxisJson(const Axis& axis, const serve::JsonValue& value,
                    Options& out, std::string& err);
 
+/** The axis's value in `options` as `parseAxis` reads it ("torus",
+ *  "16", "true"). */
+std::string axisText(const Axis& axis, const Options& options);
+
+/** The same as a JSON value ("16", "\"torus\""). */
+std::string renderAxis(const Axis& axis, const Options& options);
+
 /** `,"key":value` for every row in table order; identityOnly leaves
  *  out the run-control rows. */
 std::string renderAxes(const Options& options, bool identityOnly);
@@ -120,6 +143,43 @@ std::string scenarioError(const Options& options);
 /** The --help lines of every axis exposed on `surfaces`: flags for
  *  the command lines (list axes show "A,..."), keys for onServe. */
 std::string axisHelp(unsigned surfaces);
+
+/** How a report field is written and read back. */
+enum class FieldKind
+{
+    u64,  //!< decimal counter
+    u32,  //!< the same over a 32-bit member: wider values are refused
+    text, //!< JSON string
+    flag, //!< true/false
+    real, //!< derived double, recomputed by the reader
+    /** The axes whose `report` is this row's section, from the one
+     *  after the section's previous axes row through the axis named
+     *  `key` ("" = to the end). */
+    axes,
+};
+
+/** One member of the JSON report, in rendered order. */
+struct ReportField
+{
+    /** "" = top level, else the dotted path of its object
+     *  ("stats.noc"). */
+    const char* section;
+    const char* key = "";
+    FieldKind kind = FieldKind::u64;
+    /** u64/u32/flag value; `set` stores a parsed one (nullptr:
+     *  derived, or taken from the submitted options by the reader). */
+    std::uint64_t (*get)(const Report&) = nullptr;
+    void (*set)(Report&, std::uint64_t) = nullptr;
+    std::string (*text)(const Report&) = nullptr;
+    void (*setText)(Report&, const std::string&) = nullptr;
+    double (*real)(const Report&) = nullptr;
+    /** May be missing from a payload: older binaries wrote no engine
+     *  counters and no status. */
+    bool optional = false;
+};
+
+/** Every report field, in rendered order. */
+const std::vector<ReportField>& reportFields();
 
 } // namespace cli
 } // namespace dalorex

@@ -1,6 +1,8 @@
 #include "serve/protocol.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "cli/scenario.hh"
 #include "energy/model.hh"
@@ -56,6 +58,21 @@ scavengeId(const std::string& line)
         id.push_back(line[pos]);
     }
     return "";
+}
+
+/** The value at a dotted path ("stats.noc.flit_hops"), or nullptr. */
+const JsonValue*
+findPath(const JsonValue& root, const std::string& path)
+{
+    const JsonValue* value = &root;
+    for (std::size_t from = 0; value != nullptr && from <= path.size();) {
+        const std::size_t dot = std::min(path.find('.', from), path.size());
+        value = value->isObject()
+                    ? value->find(path.substr(from, dot - from))
+                    : nullptr;
+        from = dot + 1;
+    }
+    return value;
 }
 
 /** The opening members of a run request, before its scenario axes. */
@@ -257,117 +274,58 @@ parseReportPayload(const std::string& payload,
 
     out = cli::Report{};
     out.options = submitted;
-
-    const JsonValue* dataset = root.find("dataset");
-    const JsonValue* stats = root.find("stats");
-    if (dataset == nullptr || !dataset->isObject() ||
-        stats == nullptr || !stats->isObject()) {
-        err = "report payload misses dataset/stats";
-        return false;
-    }
-
-    auto u64At = [&err](const JsonValue& object, const char* name,
-                        std::uint64_t& value) {
-        const JsonValue* field = object.find(name);
-        if (field == nullptr || !field->asU64(value)) {
-            err = std::string("report payload misses ") + name;
+    for (const cli::ReportField& field : cli::reportFields()) {
+        if (field.set == nullptr && field.setText == nullptr)
+            continue; // derived, or echoed from the submitted options
+        const std::string name = std::string(field.section) +
+                                 (*field.section != '\0' ? "." : "") +
+                                 field.key;
+        const JsonValue* value = findPath(root, name);
+        if (value == nullptr) {
+            if (field.optional)
+                continue;
+            err = "report payload misses " + name;
             return false;
         }
-        return true;
-    };
-
-    const JsonValue* name = dataset->find("name");
-    if (name == nullptr || !name->isString()) {
-        err = "report payload misses dataset.name";
-        return false;
-    }
-    out.datasetName = name->text;
-    std::uint64_t v = 0;
-    if (!u64At(*dataset, "vertices", v))
-        return false;
-    out.numVertices = static_cast<VertexId>(v);
-    if (!u64At(*dataset, "edges", v))
-        return false;
-    out.numEdges = static_cast<EdgeId>(v);
-
-    RunStats& s = out.stats;
-    if (!u64At(*stats, "cycles", s.cycles))
-        return false;
-    if (!u64At(*stats, "epochs", v))
-        return false;
-    s.epochs = static_cast<std::uint32_t>(v);
-    if (!u64At(*stats, "invocations", s.invocations) ||
-        !u64At(*stats, "edges_processed", s.edgesProcessed) ||
-        !u64At(*stats, "pu_busy_cycles", s.puBusyCycles) ||
-        !u64At(*stats, "pu_ops", s.puOps) ||
-        !u64At(*stats, "sram_reads", s.sramReads) ||
-        !u64At(*stats, "sram_writes", s.sramWrites) ||
-        !u64At(*stats, "tsu_reads", s.tsuReads) ||
-        !u64At(*stats, "tsu_writes", s.tsuWrites) ||
-        !u64At(*stats, "local_bypass_msgs", s.localBypassMsgs) ||
-        !u64At(*stats, "scratchpad_bytes_total",
-               s.scratchpadBytesTotal) ||
-        !u64At(*stats, "scratchpad_bytes_max", s.scratchpadBytesMax))
-        return false;
-
-    const JsonValue* noc = stats->find("noc");
-    if (noc == nullptr || !noc->isObject()) {
-        err = "report payload misses stats.noc";
-        return false;
-    }
-    if (!u64At(*noc, "messages_injected", s.noc.messagesInjected) ||
-        !u64At(*noc, "messages_delivered", s.noc.messagesDelivered) ||
-        !u64At(*noc, "flit_hops", s.noc.flitHops) ||
-        !u64At(*noc, "flit_wire_tiles", s.noc.flitWireTiles) ||
-        !u64At(*noc, "router_passages", s.noc.routerPassages) ||
-        !u64At(*noc, "delivery_stalls", s.noc.deliveryStalls))
-        return false;
-
-    if (const JsonValue* engine = stats->find("engine");
-        engine != nullptr && engine->isObject()) {
-        (void)u64At(*engine, "stepped_cycles", s.engineSteppedCycles);
-        (void)u64At(*engine, "noc_stepped_cycles",
-                    s.nocSteppedCycles);
-        (void)u64At(*engine, "tile_scans", s.tileScans);
-        (void)u64At(*engine, "router_scans", s.routerScans);
-        (void)u64At(*engine, "active_tile_cycles_saved",
-                    s.activeTileCyclesSaved);
-        (void)u64At(*engine, "active_router_cycles_saved",
-                    s.activeRouterCyclesSaved);
-        (void)u64At(*engine, "rebalances", s.engineRebalances);
-        err.clear(); // engine counters are simulator-only; optional
-    }
-
-    // Older payloads predate the status field; absence means the run
-    // completed (the only status they could report).
-    if (const JsonValue* status = root.find("status");
-        status != nullptr && status->isString()) {
-        if (status->text == "timeout")
-            s.status = RunStatus::timeout;
-        else if (status->text == "cancelled")
-            s.status = RunStatus::cancelled;
-        else if (status->text == "deadlock")
-            s.status = RunStatus::deadlock;
+        std::uint64_t v = 0;
+        const bool typed =
+            field.kind == cli::FieldKind::text   ? value->isString()
+            : field.kind == cli::FieldKind::flag ? value->isBool()
+                                                 : value->asU64(v);
+        if (!typed) {
+            err = "report payload field " + name + " has the wrong type";
+            return false;
+        }
+        if (field.kind == cli::FieldKind::u32 &&
+            v > std::numeric_limits<std::uint32_t>::max()) {
+            err = "report payload field " + name + " = " + value->raw +
+                  " exceeds 32 bits";
+            return false;
+        }
+        if (field.kind == cli::FieldKind::text)
+            field.setText(out, value->text);
         else
-            s.status = RunStatus::completed;
+            field.set(out, field.kind == cli::FieldKind::flag
+                               ? std::uint64_t(value->boolean)
+                               : v);
     }
-
-    if (const JsonValue* validated = root.find("validated");
-        validated != nullptr && validated->isBool())
-        out.validated = validated->boolean;
 
     // utilization() divides busy cycles by cycles x tile count, with
     // the tile count taken from the per-tile vector's length; the
     // payload carries no per-tile data, so size the vector (zeros) to
     // the submitted machine shape.
+    RunStats& s = out.stats;
     s.puBusyPerTile.assign(submitted.machine.numTiles(), 0);
 
     // Derive the remaining report fields exactly as runScenario does:
     // identical integers through identical code give identical
-    // doubles, so aggregation downstream is byte-identical.
-    out.energy = dalorexEnergy(s, submitted.machine);
-    out.seconds = runSeconds(s);
-    out.bandwidthBytesPerSec = avgMemoryBandwidth(s);
+    // doubles, so aggregation downstream is byte-identical. A run
+    // unwound before its first cycle has no energy to model.
+    if (s.cycles > 0) {
+        out.energy = dalorexEnergy(s, submitted.machine);
+        out.seconds = runSeconds(s);
+        out.bandwidthBytesPerSec = avgMemoryBandwidth(s);
+    }
     return true;
 }
 

@@ -1,10 +1,10 @@
 #include "sweep/aggregate.hh"
-#include "common/text.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <map>
-#include <sstream>
+
+#include "cli/scenario.hh"
+#include "serve/json.hh"
 
 namespace dalorex
 {
@@ -25,25 +25,16 @@ datasetLabel(const cli::Report& report)
 }
 
 /**
- * Rows sharing this key form a group. It holds every axis that varies
- * per point except the grid shape, plus the plan-wide seed, ruche
- * factor, invoke overhead and scratchpad provision. The other
- * plan-wide settings (engine scan, barrier and rebalance, `params`,
- * `validate`) are the same on every row, so they are left out.
+ * Rows sharing this key form a group: every scenario axis but the
+ * grid shape, which is what a group's rows vary.
  */
 std::string
 groupKey(const cli::Report& report)
 {
-    const cli::Options& o = report.options;
-    std::ostringstream key;
-    key << o.kernel->name << '|' << datasetLabel(report) << '|'
-        << o.seed << '|' << toString(o.machine.topology) << '|'
-        << o.machine.rucheFactor << '|' << toString(o.machine.policy)
-        << '|' << toString(o.machine.distribution) << '|'
-        << o.machine.barrier << '|' << o.machine.invokeOverhead << '|'
-        << o.machine.scratchpadProvisionBytes << '|'
-        << o.machine.engineThreads;
-    return key.str();
+    cli::Options options = report.options;
+    options.machine.width = 0;
+    options.machine.height = 0;
+    return cli::renderAxes(options, true);
 }
 
 GridShape
@@ -60,6 +51,123 @@ describeGroup(const cli::Report& report)
     return o.kernel->display + " on " + datasetLabel(report) + ", " +
            toString(o.machine.topology) + "/" +
            toString(o.machine.policy);
+}
+
+/** How a column shows its value in the table and in JSONL. */
+enum class Format
+{
+    text,  //!< as is; a JSON string in JSONL
+    count, //!< decimal integer
+    flag,  //!< on/off in the table, true/false in JSONL
+    fixed, //!< `digits` decimals in the table
+    sci,   //!< scientific with `digits` decimals in the table
+};
+
+/** One column of a sweep row: a table (CSV) header, a JSONL key, or
+ *  both. Real values print with Table::num in JSONL. */
+struct Column
+{
+    const char* header; //!< nullptr: JSONL only
+    const char* key;    //!< nullptr: table only
+    Format format;
+    int digits;
+    std::string (*text)(const Row&);
+    std::uint64_t (*count)(const Row&); //!< count and flag
+    double (*real)(const Row&);         //!< fixed and sci
+    /** "-" in the table and null in JSONL when the row's group has no
+     *  baseline. */
+    bool needsBaseline = false;
+};
+
+// The value of a column, written over `row` and its report `r`.
+#define GETTER(type, expr)                                            \
+    [](const Row& row) -> type {                                      \
+        [[maybe_unused]] const cli::Report& r = row.report;           \
+        return expr;                                                  \
+    }
+#define TEXT(expr) Format::text, 0, GETTER(std::string, expr), nullptr, nullptr
+#define COUNT(expr) Format::count, 0, nullptr, GETTER(std::uint64_t, expr), nullptr
+#define FLAG(expr) Format::flag, 0, nullptr, GETTER(std::uint64_t, expr), nullptr
+#define FIXED(digits, expr) Format::fixed, digits, nullptr, nullptr, GETTER(double, expr)
+#define SCI(expr) Format::sci, 3, nullptr, nullptr, GETTER(double, expr)
+
+/** Every sweep-row column, in rendered order. */
+const std::vector<Column>&
+columns()
+{
+    static const std::vector<Column> table = {
+        {"kernel", "kernel", TEXT(r.options.kernel->name)},
+        {"dataset", "dataset", TEXT(datasetLabel(r))},
+        {"vertices", "vertices", COUNT(r.numVertices)},
+        {"edges", "edges", COUNT(r.numEdges)},
+        {nullptr, "width", COUNT(r.options.machine.width)},
+        {nullptr, "height", COUNT(r.options.machine.height)},
+        {"tiles", "tiles", COUNT(r.options.machine.numTiles())},
+        {"grid", nullptr, TEXT(toString(shapeOf(r)))},
+        {"topology", "topology", TEXT(toString(r.options.machine.topology))},
+        {"policy", "policy", TEXT(toString(r.options.machine.policy))},
+        {"distribution", "distribution",
+         TEXT(toString(r.options.machine.distribution))},
+        {"barrier", "barrier", FLAG(r.options.machine.barrier)},
+        {"eng_thr", "engine_threads",
+         COUNT(std::max(1u, r.options.machine.engineThreads))},
+        {nullptr, "seed", COUNT(r.options.seed)},
+        {"cycles", "cycles", COUNT(r.stats.cycles)},
+        {"epochs", "epochs", COUNT(r.stats.epochs)},
+        {"seconds", "seconds", SCI(r.seconds)},
+        {"edges_proc", "edges_processed", COUNT(r.stats.edgesProcessed)},
+        {"pu_util", "pu_utilization", FIXED(3, r.stats.utilization())},
+        {"edges/s", "edges_per_sec",
+         SCI(static_cast<double>(r.stats.edgesProcessed) / r.seconds)},
+        {"ops/s", "ops_per_sec",
+         SCI(static_cast<double>(r.stats.puOps) / r.seconds)},
+        {"mem_bw_B/s", "mem_bw_bytes_per_sec", SCI(r.bandwidthBytesPerSec)},
+        {"KB/tile", "kb_per_tile",
+         FIXED(1, static_cast<double>(r.stats.scratchpadBytesMax) / 1024.0)},
+        {"verts/tile", "vertices_per_tile",
+         COUNT(r.numVertices / r.options.machine.numTiles())},
+        {"energy_J", "energy_j", SCI(r.energy.totalJ())},
+        {"logic_pct", "logic_pct", FIXED(1, r.energy.logicPct())},
+        {"memory_pct", "memory_pct", FIXED(1, r.energy.memoryPct())},
+        {"network_pct", "network_pct", FIXED(1, r.energy.networkPct())},
+        {"energy/edge_J", "energy_per_edge_j", SCI(row.energyPerEdgeJ)},
+        {"speedup", "speedup", FIXED(3, row.speedup), true},
+        {"par_eff", "parallel_efficiency", FIXED(3, row.parallelEff), true},
+        {nullptr, "is_baseline", FLAG(row.isBaseline)},
+        {nullptr, "validated", FLAG(r.validated)},
+    };
+    return table;
+}
+
+#undef GETTER
+#undef TEXT
+#undef COUNT
+#undef FLAG
+#undef FIXED
+#undef SCI
+
+/** One cell of `row` in the table (json = false) or in JSONL. */
+std::string
+cell(const Column& column, const Row& row, bool json)
+{
+    if (column.needsBaseline && !row.hasBaseline)
+        return json ? "null" : "-";
+    switch (column.format) {
+      case Format::text:
+        return json ? serve::jsonQuote(column.text(row)) : column.text(row);
+      case Format::count:
+        return std::to_string(column.count(row));
+      case Format::flag:
+        return column.count(row) != 0 ? (json ? "true" : "on")
+                                      : (json ? "false" : "off");
+      case Format::fixed:
+        return json ? Table::num(column.real(row))
+                    : Table::fmt(column.real(row), column.digits);
+      case Format::sci:
+        break;
+    }
+    return json ? Table::num(column.real(row))
+                : Table::sci(column.real(row), column.digits);
 }
 
 } // namespace
@@ -121,52 +229,17 @@ aggregate(const std::vector<cli::Report>& reports,
 Table
 toTable(const std::vector<Row>& rows)
 {
-    Table table({"kernel",        "dataset",     "vertices",
-                 "edges",         "tiles",       "grid",
-                 "topology",      "policy",      "distribution",
-                 "barrier",       "eng_thr",     "cycles",
-                 "epochs",
-                 "seconds",       "edges_proc",  "pu_util",
-                 "edges/s",       "ops/s",       "mem_bw_B/s",
-                 "KB/tile",       "verts/tile",  "energy_J",
-                 "logic_pct",     "memory_pct",  "network_pct",
-                 "energy/edge_J", "speedup",     "par_eff"});
+    std::vector<std::string> headers;
+    for (const Column& column : columns())
+        if (column.header != nullptr)
+            headers.push_back(column.header);
+    Table table(std::move(headers));
     for (const Row& row : rows) {
-        const cli::Report& r = row.report;
-        const cli::Options& o = r.options;
-        const std::uint32_t tiles = o.machine.numTiles();
-        table.addRow(
-            {o.kernel->name, datasetLabel(r),
-             std::to_string(r.numVertices),
-             std::to_string(r.numEdges), std::to_string(tiles),
-             toString(shapeOf(r)), toString(o.machine.topology),
-             toString(o.machine.policy),
-             toString(o.machine.distribution),
-             o.machine.barrier ? "on" : "off",
-             std::to_string(std::max(1u, o.machine.engineThreads)),
-             std::to_string(r.stats.cycles),
-             std::to_string(r.stats.epochs), Table::sci(r.seconds, 3),
-             std::to_string(r.stats.edgesProcessed),
-             Table::fmt(r.stats.utilization(), 3),
-             Table::sci(static_cast<double>(r.stats.edgesProcessed) /
-                            r.seconds,
-                        3),
-             Table::sci(static_cast<double>(r.stats.puOps) /
-                            r.seconds,
-                        3),
-             Table::sci(r.bandwidthBytesPerSec, 3),
-             Table::fmt(static_cast<double>(
-                            r.stats.scratchpadBytesMax) /
-                            1024.0,
-                        1),
-             std::to_string(r.numVertices / tiles),
-             Table::sci(r.energy.totalJ(), 3),
-             Table::fmt(r.energy.logicPct(), 1),
-             Table::fmt(r.energy.memoryPct(), 1),
-             Table::fmt(r.energy.networkPct(), 1),
-             Table::sci(row.energyPerEdgeJ, 3),
-             row.hasBaseline ? Table::fmt(row.speedup, 3) : "-",
-             row.hasBaseline ? Table::fmt(row.parallelEff, 3) : "-"});
+        std::vector<std::string> cells;
+        for (const Column& column : columns())
+            if (column.header != nullptr)
+                cells.push_back(cell(column, row, false));
+        table.addRow(std::move(cells));
     }
     return table;
 }
@@ -174,75 +247,18 @@ toTable(const std::vector<Row>& rows)
 std::string
 toJsonl(const std::vector<Row>& rows)
 {
-    std::ostringstream out;
+    std::string out;
     for (const Row& row : rows) {
-        const cli::Report& r = row.report;
-        const cli::Options& o = r.options;
-        const std::uint32_t tiles = o.machine.numTiles();
-        out << "{"
-            << "\"kernel\":\"" << o.kernel->name << "\","
-            << "\"dataset\":\"" << datasetLabel(r) << "\","
-            << "\"vertices\":" << r.numVertices << ","
-            << "\"edges\":" << r.numEdges << ","
-            << "\"width\":" << o.machine.width << ","
-            << "\"height\":" << o.machine.height << ","
-            << "\"tiles\":" << tiles << ","
-            << "\"topology\":\"" << toString(o.machine.topology)
-            << "\","
-            << "\"policy\":\"" << toString(o.machine.policy) << "\","
-            << "\"distribution\":\""
-            << toString(o.machine.distribution) << "\","
-            << "\"barrier\":"
-            << (o.machine.barrier ? "true" : "false") << ","
-            << "\"engine_threads\":"
-            << std::max(1u, o.machine.engineThreads) << ","
-            << "\"seed\":" << o.seed << ","
-            << "\"cycles\":" << r.stats.cycles << ","
-            << "\"epochs\":" << r.stats.epochs << ","
-            << "\"seconds\":" << Table::num(r.seconds) << ","
-            << "\"edges_processed\":" << r.stats.edgesProcessed << ","
-            << "\"pu_utilization\":"
-            << Table::num(r.stats.utilization()) << ","
-            << "\"edges_per_sec\":"
-            << Table::num(
-                   static_cast<double>(r.stats.edgesProcessed) /
-                   r.seconds)
-            << ","
-            << "\"ops_per_sec\":"
-            << Table::num(static_cast<double>(r.stats.puOps) /
-                          r.seconds)
-            << ","
-            << "\"mem_bw_bytes_per_sec\":"
-            << Table::num(r.bandwidthBytesPerSec) << ","
-            << "\"kb_per_tile\":"
-            << Table::num(
-                   static_cast<double>(r.stats.scratchpadBytesMax) /
-                   1024.0)
-            << ","
-            << "\"vertices_per_tile\":" << (r.numVertices / tiles)
-            << ","
-            << "\"energy_j\":" << Table::num(r.energy.totalJ()) << ","
-            << "\"logic_pct\":" << Table::num(r.energy.logicPct())
-            << ","
-            << "\"memory_pct\":" << Table::num(r.energy.memoryPct())
-            << ","
-            << "\"network_pct\":" << Table::num(r.energy.networkPct())
-            << ","
-            << "\"energy_per_edge_j\":"
-            << Table::num(row.energyPerEdgeJ) << ","
-            << "\"speedup\":"
-            << (row.hasBaseline ? Table::num(row.speedup) : "null")
-            << ","
-            << "\"parallel_efficiency\":"
-            << (row.hasBaseline ? Table::num(row.parallelEff)
-                                : "null")
-            << ","
-            << "\"is_baseline\":" << (row.isBaseline ? "true" : "false")
-            << ","
-            << "\"validated\":" << (r.validated ? "true" : "false")
-            << "}\n";
+        char separator = '{';
+        for (const Column& column : columns())
+            if (column.key != nullptr) {
+                out += separator + std::string("\"") + column.key +
+                       "\":" + cell(column, row, true);
+                separator = ',';
+            }
+        out += "}\n";
     }
-    return out.str();
+    return out;
 }
 
 void

@@ -64,115 +64,93 @@ toString(const GridShape& shape)
 ExpandResult
 expand(const Plan& plan)
 {
-    const std::vector<const KernelInfo*> kernels =
-        unique(plan.kernels);
-    const std::vector<DatasetSpec> datasets = unique(plan.datasets);
-    const std::vector<GridShape> grids = unique(plan.grids);
-    const std::vector<NocTopology> topologies =
-        unique(plan.topologies);
-    const std::vector<SchedPolicy> policies = unique(plan.policies);
-    const std::vector<Distribution> distributions =
-        unique(plan.distributions);
-    const std::vector<bool> barriers = unique(plan.barriers);
-    const std::vector<unsigned> engine_threads =
-        unique(plan.engineThreads);
-
-    if (kernels.empty())
-        return fail("kernel axis is empty");
-    for (const KernelInfo* kernel : kernels) {
-        if (kernel == nullptr)
-            return fail("kernel axis contains a null kernel handle");
-    }
-    if (datasets.empty())
-        return fail("dataset axis is empty");
-    if (grids.empty())
-        return fail("grid axis is empty");
-    if (topologies.empty())
-        return fail("topology axis is empty");
-    if (policies.empty())
-        return fail("policy axis is empty");
-    if (distributions.empty())
-        return fail("distribution axis is empty");
-    if (barriers.empty())
-        return fail("barrier axis is empty");
-    if (engine_threads.empty())
-        return fail("engine-threads axis is empty");
     // Values are checked by the scenario-axis table, as on every
     // surface.
     std::string error;
-    cli::Options probe;
-    auto check = [&](const char* key, const std::string& text) {
+    auto set = [&error](cli::Options& o, const char* key,
+                        const std::string& text) {
         if (error.empty())
             cli::parseAxis(*cli::findAxis(key, cli::onServe), text, key,
-                           probe, error);
+                           o, error);
     };
-    for (const unsigned threads : engine_threads)
-        check("engine_threads", std::to_string(threads));
-    for (const GridShape& grid : grids) {
-        check("width", std::to_string(grid.width));
-        check("height", std::to_string(grid.height));
-    }
-    for (const DatasetSpec& ds : datasets) {
-        probe = cli::Options{};
+    auto setDataset = [&set](cli::Options& o, const DatasetSpec& ds) {
         if (ds.name.empty()) {
-            check("scale", std::to_string(ds.scale));
+            set(o, "scale", std::to_string(ds.scale));
         } else {
-            check("dataset", ds.name);
-            check("dataset_scale", std::to_string(ds.scale));
+            set(o, "dataset", ds.name);
+            set(o, "dataset_scale", std::to_string(ds.scale));
         }
+    };
+    for (const DatasetSpec& ds : plan.datasets) {
+        cli::Options probe;
+        setDataset(probe, ds);
         if (error.empty())
             error = cli::scenarioError(probe);
     }
     if (!error.empty())
         return fail(error);
 
+    // Cross the points so far with one dimension's values; the first
+    // dimension varies slowest, so points come out kernel-major.
+    std::vector<cli::Options> points = {plan.base};
+    auto cross = [&points](const auto& values, const auto& apply) {
+        const auto distinct = unique(values);
+        std::vector<cli::Options> crossed;
+        crossed.reserve(points.size() * distinct.size());
+        for (const cli::Options& point : points)
+            for (const auto& value : distinct) {
+                crossed.push_back(point);
+                apply(crossed.back(), value);
+            }
+        points = std::move(crossed);
+    };
+    std::size_t listed = 0;
+    for (const cli::Axis& axis : cli::scenarioAxes()) {
+        const std::string key = axis.key;
+        const auto list = plan.axes.find(key);
+        if (key == "dataset") {
+            cross(plan.datasets, setDataset);
+        } else if (key == "width") {
+            cross(plan.grids, [&set](cli::Options& o, const GridShape& g) {
+                set(o, "width", std::to_string(g.width));
+                set(o, "height", std::to_string(g.height));
+            });
+        } else if (axis.perPoint && list != plan.axes.end()) {
+            ++listed;
+            cross(list->second,
+                  [&](cli::Options& o, const std::string& text) {
+                      if (error.empty())
+                          cli::parseAxis(axis, text, key, o, error);
+                  });
+        } else {
+            continue;
+        }
+        if (points.empty())
+            return fail((key == "width" ? "grid" : key) +
+                        " axis is empty");
+    }
+    if (!error.empty())
+        return fail(error);
+    if (listed != plan.axes.size())
+        for (const auto& [key, values] : plan.axes) {
+            const cli::Axis* axis = cli::findAxis(key, cli::onServe);
+            if (axis == nullptr || !axis->perPoint)
+                return fail(key + " is not a per-point axis");
+        }
+
     ExpandResult result;
-    result.baseline =
-        plan.baseline.tiles() > 0 ? plan.baseline : grids.front();
-    if (std::find(grids.begin(), grids.end(), result.baseline) ==
-        grids.end())
+    result.baseline = plan.baseline.tiles() > 0 ? plan.baseline
+                                                : plan.grids.front();
+    if (std::find(plan.grids.begin(), plan.grids.end(),
+                  result.baseline) == plan.grids.end())
         return fail("baseline grid " + toString(result.baseline) +
                     " is not on the grid axis");
-
-    for (const KernelInfo* kernel : kernels)
-      for (const DatasetSpec& ds : datasets)
-        for (const GridShape& grid : grids)
-          for (const NocTopology topology : topologies)
-            for (const SchedPolicy policy : policies)
-              for (const Distribution distribution : distributions)
-                for (const bool barrier : barriers)
-                  for (const unsigned threads : engine_threads) {
-                      cli::Options o;
-                      o.kernel = kernel;
-                      o.dataset = ds.name;
-                      if (ds.name.empty())
-                          o.scale = ds.scale;
-                      else
-                          o.datasetScale = ds.scale;
-                      o.seed = plan.seed;
-                      o.validate = plan.validate;
-                      o.params = plan.params;
-                      o.machine.width = grid.width;
-                      o.machine.height = grid.height;
-                      o.machine.topology = topology;
-                      o.machine.rucheFactor = plan.rucheFactor;
-                      o.machine.policy = policy;
-                      o.machine.distribution = distribution;
-                      o.machine.barrier = barrier;
-                      o.machine.engineThreads = threads;
-                      o.machine.engineScan = plan.engineScan;
-                      o.machine.engineBarrier = plan.engineBarrier;
-                      o.machine.engineRebalance =
-                          plan.engineRebalance;
-                      o.machine.invokeOverhead = plan.invokeOverhead;
-                      o.machine.scratchpadProvisionBytes =
-                          plan.scratchpadProvisionBytes;
-                      const std::string note =
-                          cli::normalizeScenario(o);
-                      if (result.note.empty())
-                          result.note = note;
-                      result.points.push_back(std::move(o));
-                  }
+    for (cli::Options& point : points) {
+        const std::string note = cli::normalizeScenario(point);
+        if (result.note.empty())
+            result.note = note;
+    }
+    result.points = std::move(points);
     return result;
 }
 

@@ -2,10 +2,11 @@
  * @file
  * Declarative scenario grids for the sweep orchestrator.
  *
- * A Plan names one value set per scenario axis (kernels, datasets,
- * machine shapes, topology/policy/barrier knobs); expansion takes the
- * cartesian product into concrete cli::Options, one per point, in a
- * deterministic kernel-major order. All user errors — an empty axis,
+ * A Plan holds the plan-wide scenario values and one value list per
+ * per-point axis (kernels, datasets, machine shapes, topology/policy/
+ * barrier knobs); expansion takes the cartesian product into concrete
+ * cli::Options, one per point, in a deterministic kernel-major
+ * (axis-table) order. All user errors — an empty axis,
  * an unknown dataset name, a speedup baseline that is not on the grid
  * axis — surface as a one-line diagnostic at expansion time, before
  * any worker thread runs, so the parallel phase only ever sees
@@ -16,6 +17,7 @@
 #define DALOREX_SWEEP_PLAN_HH
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -33,11 +35,7 @@ struct GridShape
     std::uint32_t height = 0;
 
     std::uint32_t tiles() const { return width * height; }
-    bool
-    operator==(const GridShape& other) const
-    {
-        return width == other.width && height == other.height;
-    }
+    bool operator==(const GridShape&) const = default;
 };
 
 /** Parse "WxH" (e.g. "16x16"), each side a width/height axis value;
@@ -58,61 +56,32 @@ struct DatasetSpec
      *  the RMAT scale when `name` is empty. */
     unsigned scale = 0;
 
-    bool
-    operator==(const DatasetSpec& other) const
-    {
-        return name == other.name && scale == other.scale;
-    }
+    bool operator==(const DatasetSpec&) const = default;
 };
 
 /**
- * A declarative scenario grid. Every axis must be non-empty at
- * expansion time; each axis is deduplicated order-preservingly, so
- * repeated points collapse instead of re-running.
+ * A declarative scenario grid (Katana's idiom: one Plan carries the
+ * algorithm and all its parameters). Every point starts as a copy of
+ * `base`, then takes one value of each per-point dimension: the
+ * kernel, the dataset, the grid shape and the other axes the axis
+ * table marks perPoint. Each dimension is deduplicated
+ * order-preservingly, so repeated points collapse instead of
+ * re-running.
  */
 struct Plan
 {
-    /** Registry handles; `allKernels()` enumerates every registered
-     *  kernel (the `--kernel all` axis). */
-    std::vector<const KernelInfo*> kernels;
+    /** The plan-wide axis values (seed, params, ruche factor, engine
+     *  knobs, ...) and the value of each per-point axis not listed in
+     *  `axes`. */
+    cli::Options base;
+    /** Per-point value lists keyed by axis-table key ("kernel",
+     *  "topology", ...), each value spelled as the axis parses it
+     *  ("bfs", "torus-ruche", "4"). A listed axis must be non-empty. */
+    std::map<std::string, std::vector<std::string>> axes;
+    /** The dataset dimension (never empty at expansion). */
     std::vector<DatasetSpec> datasets;
+    /** The grid dimension (never empty at expansion). */
     std::vector<GridShape> grids;
-    std::vector<NocTopology> topologies{NocTopology::torus};
-    std::vector<SchedPolicy> policies{SchedPolicy::trafficAware};
-    std::vector<Distribution> distributions{Distribution::lowOrder};
-    std::vector<bool> barriers{false};
-    /**
-     * Engine worker threads per point (`--engine-threads N,...`). An
-     * axis like any other so scaling studies can sweep it — but stats
-     * are byte-identical across its values by engine contract; only
-     * wall-clock changes.
-     */
-    std::vector<unsigned> engineThreads{1};
-
-    /** Cycle-stepping scan mode applied to every point (simulator
-     *  only; results are byte-identical for both — the `full` oracle
-     *  exists for determinism checks and scan-cost benchmarks). */
-    EngineScan engineScan = EngineScan::active;
-    /** Phase-barrier implementation applied to every point (simulator
-     *  only; results are byte-identical for both — the `central`
-     *  std::barrier oracle exists for determinism checks and barrier
-     *  cost benchmarks). */
-    EngineBarrier engineBarrier = EngineBarrier::tree;
-    /** Occupancy-driven shard rebalancing applied to every point
-     *  (simulator only; byte-identical results either way). */
-    bool engineRebalance = false;
-    /** Ruche hop distance applied to torus-ruche points. */
-    std::uint32_t rucheFactor = 2;
-    /** Extra cycles per task invocation (ablation knob). */
-    std::uint32_t invokeOverhead = 0;
-    /** Kernel parameter overrides (`--param damping=0.9,...`); keys
-     *  a kernel declares unused are skipped per point. */
-    std::vector<ParamOverride> params;
-    /** Per-tile scratchpad provision in bytes (0 = size to usage). */
-    std::uint64_t scratchpadProvisionBytes = 0;
-    std::uint64_t seed = 1;
-    /** Validate every point against the sequential reference. */
-    bool validate = false;
 
     /**
      * Grid shape of the speedup baseline row within each scenario

@@ -58,17 +58,6 @@ struct InterruptGuard
     ~InterruptGuard() { sigaction(SIGINT, &old, nullptr); }
 };
 
-/** Add `value` to a list axis; its first value replaces the Plan
- *  default. */
-template <typename T>
-void
-append(std::vector<T>& axis, const T& value, bool first)
-{
-    if (first)
-        axis.clear();
-    axis.push_back(value);
-}
-
 SweepParseResult
 fail(const std::string& message)
 {
@@ -95,46 +84,6 @@ parseSweepArgs(int argc, const char* const* argv)
     Plan& plan = o.plan;
     std::vector<RawDataset> rawDatasets;
     std::vector<unsigned> rmatScales;
-    // A list axis's first flag replaces its Plan default; repeated
-    // flags then append.
-    std::vector<const cli::Axis*> seen;
-
-    // Where each parsed table value lands in the plan.
-    auto bind = [&](const std::string& key, const cli::Options& v,
-                    bool first) {
-        const MachineConfig& m = v.machine;
-        if (key == "kernel")
-            append(plan.kernels, v.kernel, first);
-        else if (key == "dataset")
-            rawDatasets.push_back({v.dataset, v.datasetScale});
-        else if (key == "scale")
-            rmatScales.push_back(v.scale);
-        else if (key == "topology")
-            append(plan.topologies, m.topology, first);
-        else if (key == "policy")
-            append(plan.policies, m.policy, first);
-        else if (key == "distribution")
-            append(plan.distributions, m.distribution, first);
-        else if (key == "engine_threads")
-            append(plan.engineThreads, m.engineThreads, first);
-        else if (key == "ruche_factor")
-            plan.rucheFactor = m.rucheFactor;
-        else if (key == "invoke_overhead")
-            plan.invokeOverhead = m.invokeOverhead;
-        else if (key == "engine_scan")
-            plan.engineScan = m.engineScan;
-        else if (key == "engine_barrier")
-            plan.engineBarrier = m.engineBarrier;
-        else if (key == "engine_rebalance")
-            plan.engineRebalance = m.engineRebalance;
-        else if (key == "params")
-            plan.params.insert(plan.params.end(), v.params.begin(),
-                               v.params.end());
-        else if (key == "seed")
-            plan.seed = v.seed;
-        else if (key == "validate")
-            plan.validate = v.validate;
-    };
 
     // Flags naming a file or socket path.
     const std::vector<std::pair<std::string, std::string*>> paths = {
@@ -174,21 +123,19 @@ parseSweepArgs(int argc, const char* const* argv)
 
         if (axis != nullptr) {
             // Table axes, with sweep's own item spellings: comma
-            // lists, `all` kernels and NAME@SCALE datasets.
+            // lists, `all` kernels and NAME@SCALE datasets. A list
+            // item joins its per-point dimension; a single value
+            // parses into the plan's base options.
             const std::string key = axis->key;
-            bool first = std::find(seen.begin(), seen.end(), axis) ==
-                         seen.end();
-            seen.push_back(axis);
+            const bool list = (axis->surfaces & cli::onSweepList) != 0;
             for (const std::string& item :
-                 (axis->surfaces & cli::onSweepList) != 0
-                     ? splitCommas(value)
-                     : std::vector<std::string>{value}) {
+                 list ? splitCommas(value)
+                      : std::vector<std::string>{value}) {
                 cli::Options v;
                 std::string err;
                 if (key == "kernel" && toLower(item) == "all") {
                     for (const KernelInfo* kernel : allKernels())
-                        plan.kernels.push_back(kernel);
-                    first = false;
+                        plan.axes[key].push_back(kernel->name);
                     continue;
                 }
                 // file: names are paths, which may contain '@';
@@ -204,11 +151,15 @@ parseSweepArgs(int argc, const char* const* argv)
                         *cli::findAxis("dataset_scale", cli::onServe),
                         item.substr(at + 1), "--dataset @SCALE", v, err))
                     return fail(err);
-                if (!cli::parseAxis(*axis, item.substr(0, at), flag, v,
-                                    err))
+                if (!cli::parseAxis(*axis, item.substr(0, at), flag,
+                                    list ? v : plan.base, err))
                     return fail(err);
-                bind(key, v, first);
-                first = false;
+                if (key == "dataset")
+                    rawDatasets.push_back({v.dataset, v.datasetScale});
+                else if (key == "scale")
+                    rmatScales.push_back(v.scale);
+                else if (axis->perPoint)
+                    plan.axes[key].push_back(cli::axisText(*axis, v));
             }
         } else if (flag == "--help" || flag == "-h") {
             o.help = true;
@@ -229,11 +180,12 @@ parseSweepArgs(int argc, const char* const* argv)
             if (mode != "off" && mode != "on" && mode != "both")
                 return fail("--barrier must be off|on|both, got " +
                             value);
-            plan.barriers.clear();
+            std::vector<std::string>& barriers = plan.axes["barrier"];
+            barriers.clear();
             if (mode != "on")
-                plan.barriers.push_back(false);
+                barriers.push_back("false");
             if (mode != "off")
-                plan.barriers.push_back(true);
+                barriers.push_back("true");
         } else if (flag == "--baseline") {
             std::string err;
             if (!parseGridShape(value, plan.baseline, &err))
@@ -274,8 +226,9 @@ parseSweepArgs(int argc, const char* const* argv)
     }
 
     // Defaults that depend on other flags apply once argv is read.
-    if (plan.kernels.empty())
-        plan.kernels = allKernels();
+    if (plan.axes.count("kernel") == 0)
+        for (const KernelInfo* kernel : allKernels())
+            plan.axes["kernel"].push_back(kernel->name);
     if (plan.grids.empty())
         plan.grids = {{4, 4}, {8, 8}, {16, 16}};
     for (const RawDataset& raw : rawDatasets) {
@@ -555,8 +508,9 @@ sweepMain(int argc, const char* const* argv, std::ostream& out,
         // instead of silently oversubscribing; a defaulted budget
         // grows to fit.
         unsigned max_engine_threads = 1;
-        for (const unsigned n : o.plan.engineThreads)
-            max_engine_threads = std::max(max_engine_threads, n);
+        for (const cli::Options& point : expanded.points)
+            max_engine_threads = std::max(max_engine_threads,
+                                          point.machine.engineThreads);
         if (o.threads > 0 && o.threads < max_engine_threads) {
             err << "dalorex sweep: --threads " << o.threads
                 << " is below the largest --engine-threads value ("
@@ -583,7 +537,7 @@ sweepMain(int argc, const char* const* argv, std::ostream& out,
         policy.cancel = &interrupted;
         policy.retries = o.retries;
         policy.backoffMs = o.retryBackoffMs;
-        policy.seed = o.plan.seed;
+        policy.seed = o.plan.base.seed;
         policy.rowDeadlineMs = o.rowDeadlineMs;
         policy.skip = skip;
         policy.onRow = record_row;

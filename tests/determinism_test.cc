@@ -329,12 +329,11 @@ sortedLines(const std::string& text)
 TEST(SweepDeterminism, JsonlByteIdenticalAcrossThreadCounts)
 {
     sweep::Plan plan;
-    plan.kernels = {kernelOrDie("bfs"), kernelOrDie("sssp"),
-                    kernelOrDie("wcc")};
+    plan.axes["kernel"] = {"bfs", "sssp", "wcc"};
     plan.datasets = {{"", 8}};
     plan.grids = {{2, 2}, {4, 4}};
-    plan.barriers = {false, true};
-    plan.seed = 23;
+    plan.axes["barrier"] = {"false", "true"};
+    plan.base.seed = 23;
 
     const std::string serial = sweepJsonl(plan, 1);
     const std::string parallel = sweepJsonl(plan, 8);

@@ -286,7 +286,6 @@ TEST(Protocol, DatasetScaleIsRefusedWhereTheDatasetIgnoresIt)
         if (dataset.empty())
             continue; // sweep spells RMAT by scale as --scale
         sweep::Plan plan;
-        plan.kernels = {kernelOrDie("bfs")};
         plan.grids = {{2, 2}};
         plan.datasets = {{dataset, 14}};
         EXPECT_EQ(sweep::expand(plan).error, error);
@@ -772,6 +771,50 @@ TEST(ReportReconstruction, RebuiltReportAggregatesIdentically)
     }
 }
 
+TEST(ReportReconstruction, RefusesValuesTheirFieldCannotHold)
+{
+    const cli::Options options = tinyOptions();
+    const cli::RunOutcome local = cli::runScenario(options);
+    ASSERT_TRUE(local.ok) << local.error;
+    const std::string json = cli::renderJson(local.report);
+    cli::Report rebuilt;
+    for (const std::string field : {"vertices", "edges", "epochs"}) {
+        // Each is a 32-bit member: 2^32 + 1 must not wrap to 1.
+        std::string bad = json;
+        const std::size_t at = bad.find("\"" + field + "\":");
+        ASSERT_NE(at, std::string::npos) << field;
+        const std::size_t from = bad.find(':', at) + 1;
+        bad.replace(from, bad.find(',', from) - from, "4294967297");
+        std::string err;
+        EXPECT_FALSE(parseReportPayload(bad, options, rebuilt, err))
+            << field;
+        EXPECT_NE(err.find("." + field), std::string::npos) << err;
+        EXPECT_NE(err.find("4294967297"), std::string::npos) << err;
+    }
+    std::string bad = json;
+    bad.replace(bad.find("\"cycles\":"), 9, "\"cyclez\":");
+    std::string err;
+    EXPECT_FALSE(parseReportPayload(bad, options, rebuilt, err));
+    EXPECT_EQ(err, "report payload misses stats.cycles");
+}
+
+TEST(ReportReconstruction, RunUnwoundBeforeItsFirstCycleRoundTrips)
+{
+    // A deadline can expire before the first cycle commits: such a
+    // report has no energy, and reading it back must not model one.
+    cli::Report empty;
+    empty.options = tinyOptions();
+    empty.datasetName = "rmat6";
+    empty.stats.status = RunStatus::timeout;
+    const std::string json = cli::renderJson(empty);
+    cli::Report rebuilt;
+    std::string err;
+    ASSERT_TRUE(parseReportPayload(json, empty.options, rebuilt, err))
+        << err;
+    EXPECT_EQ(rebuilt.stats.status, RunStatus::timeout);
+    EXPECT_EQ(cli::renderJson(rebuilt), json);
+}
+
 // --- stdin transport -------------------------------------------------
 
 TEST(ServeCli, StdinTransportAnswersAndDrainsOnShutdown)
@@ -832,7 +875,6 @@ TEST(SubcommandTable, HelpEnumeratesEverySubcommand)
 TEST(SweepCancel, SetFlagSkipsRemainingRowsAsInterrupted)
 {
     sweep::Plan plan;
-    plan.kernels = {kernelOrDie("bfs")};
     plan.datasets = {{"", 6}};
     plan.grids = {{2, 2}};
     const sweep::ExpandResult expanded = sweep::expand(plan);

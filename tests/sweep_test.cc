@@ -35,10 +35,10 @@ Plan
 miniPlan()
 {
     Plan plan;
-    plan.kernels = {kernelOrDie("bfs"), kernelOrDie("wcc")};
+    plan.axes["kernel"] = {"bfs", "wcc"};
     plan.datasets = {{"", 8}};
     plan.grids = {{2, 2}, {4, 4}};
-    plan.seed = 3;
+    plan.base.seed = 3;
     return plan;
 }
 
@@ -79,8 +79,7 @@ TEST(Expand, CartesianProductInKernelMajorOrder)
 TEST(Expand, DuplicateAxisPointsCollapse)
 {
     Plan plan = miniPlan();
-    plan.kernels = {kernelOrDie("bfs"), kernelOrDie("bfs"),
-                    kernelOrDie("bfs")};
+    plan.axes["kernel"] = {"bfs", "bfs", "bfs"};
     plan.grids = {{2, 2}, {4, 4}, {2, 2}};
     plan.datasets = {{"", 8}, {"", 8}};
     const ExpandResult result = expand(plan);
@@ -91,7 +90,7 @@ TEST(Expand, DuplicateAxisPointsCollapse)
 TEST(Expand, EmptyAxisIsACleanError)
 {
     Plan plan = miniPlan();
-    plan.kernels.clear();
+    plan.axes["kernel"].clear();
     ExpandResult result = expand(plan);
     EXPECT_FALSE(result.ok);
     EXPECT_NE(result.error.find("kernel axis"), std::string::npos);
@@ -103,10 +102,17 @@ TEST(Expand, EmptyAxisIsACleanError)
     EXPECT_NE(result.error.find("grid axis"), std::string::npos);
 
     plan = miniPlan();
-    plan.topologies.clear();
+    plan.axes["topology"].clear();
     result = expand(plan);
     EXPECT_FALSE(result.ok);
     EXPECT_NE(result.error.find("topology axis"), std::string::npos);
+
+    // Only per-point axes take a list; plan-wide ones live in base.
+    plan = miniPlan();
+    plan.axes["seed"] = {"4", "5"};
+    result = expand(plan);
+    EXPECT_FALSE(result.ok);
+    EXPECT_EQ(result.error, "seed is not a per-point axis");
 }
 
 TEST(Expand, UnknownDatasetIsACleanError)
@@ -145,8 +151,8 @@ TEST(Expand, MissingBaselineIsACleanError)
 TEST(Expand, RucheFactorAppliesOnlyToRucheTopology)
 {
     Plan plan = miniPlan();
-    plan.topologies = {NocTopology::torus, NocTopology::torusRuche};
-    plan.rucheFactor = 4;
+    plan.axes["topology"] = {"torus", "torus-ruche"};
+    plan.base.machine.rucheFactor = 4;
     const ExpandResult result = expand(plan);
     ASSERT_TRUE(result.ok) << result.error;
     for (const cli::Options& o : result.points) {
@@ -203,10 +209,10 @@ TEST(RunAggregate, ScaledDatasetVariantsGroupSeparately)
     // Two scales of the same named stand-in share a generated name
     // ("AZ"); grouping and labels must still keep them apart.
     Plan plan;
-    plan.kernels = {kernelOrDie("bfs")};
+    plan.axes["kernel"] = {"bfs"};
     plan.datasets = {{"amazon", 5}, {"amazon", 6}};
     plan.grids = {{1, 1}, {2, 2}};
-    plan.seed = 3;
+    plan.base.seed = 3;
 
     const RunResult result = run(plan, 2);
     ASSERT_TRUE(result.ok) << result.error;
@@ -397,7 +403,7 @@ TEST(SweepMain, RejectsBadGridAndUnknownDataset)
 TEST(Expand, EngineThreadsAxisMultipliesPoints)
 {
     Plan plan = miniPlan();
-    plan.engineThreads = {1, 4};
+    plan.axes["engine_threads"] = {"1", "4"};
     const ExpandResult result = expand(plan);
     ASSERT_TRUE(result.ok) << result.error;
     // 2 kernels x 2 grids x 2 engine-thread values.
@@ -405,9 +411,9 @@ TEST(Expand, EngineThreadsAxisMultipliesPoints)
     EXPECT_EQ(result.points[0].machine.engineThreads, 1u);
     EXPECT_EQ(result.points[1].machine.engineThreads, 4u);
 
-    plan.engineThreads = {0};
+    plan.axes["engine_threads"] = {"0"};
     EXPECT_FALSE(expand(plan).ok);
-    plan.engineThreads = {};
+    plan.axes["engine_threads"] = {};
     EXPECT_FALSE(expand(plan).ok);
 }
 
@@ -415,7 +421,7 @@ TEST(Expand, EngineThreadsClampToEachGridsTiles)
 {
     Plan plan = miniPlan();
     plan.grids = {{2, 2}, {4, 4}};
-    plan.engineThreads = {16};
+    plan.axes["engine_threads"] = {"16"};
     const ExpandResult result = expand(plan);
     ASSERT_TRUE(result.ok) << result.error;
     for (const cli::Options& point : result.points) {
@@ -430,8 +436,8 @@ TEST(Expand, EngineThreadsClampToEachGridsTiles)
 TEST(Expand, EngineBarrierAndRebalanceApplyToEveryPoint)
 {
     Plan plan = miniPlan();
-    plan.engineBarrier = EngineBarrier::central;
-    plan.engineRebalance = true;
+    plan.base.machine.engineBarrier = EngineBarrier::central;
+    plan.base.machine.engineRebalance = true;
     const ExpandResult result = expand(plan);
     ASSERT_TRUE(result.ok) << result.error;
     ASSERT_FALSE(result.points.empty());
@@ -447,11 +453,11 @@ TEST(RunAggregate, EngineThreadsAxisChangesNothingButTheColumn)
     // engineThreads produce byte-identical stats, so their JSONL rows
     // differ in nothing but the engine_threads field.
     Plan plan;
-    plan.kernels = {kernelOrDie("bfs")};
+    plan.axes["kernel"] = {"bfs"};
     plan.datasets = {{"", 8}};
     plan.grids = {{4, 4}};
-    plan.engineThreads = {1, 4};
-    plan.seed = 3;
+    plan.axes["engine_threads"] = {"1", "4"};
+    plan.base.seed = 3;
     const RunResult result = run(plan, 1);
     ASSERT_TRUE(result.ok) << result.error;
     ASSERT_TRUE(result.allRowsOk());
@@ -485,13 +491,14 @@ TEST(SweepParse, EngineThreadsAndParamFlags)
         parseSweepArgs(static_cast<int>(args.size()), args.data());
     ASSERT_TRUE(parsed.ok) << parsed.error;
     const Plan& plan = parsed.options.plan;
-    EXPECT_EQ(plan.engineThreads, (std::vector<unsigned>{1, 4}));
-    EXPECT_EQ(plan.engineScan, EngineScan::full);
-    ASSERT_EQ(plan.params.size(), 2u);
-    EXPECT_EQ(plan.params[0].name, "damping");
-    EXPECT_DOUBLE_EQ(plan.params[0].value, 0.9);
-    EXPECT_EQ(plan.params[1].name, "iterations");
-    EXPECT_DOUBLE_EQ(plan.params[1].value, 20.0);
+    EXPECT_EQ(plan.axes.at("engine_threads"),
+              (std::vector<std::string>{"1", "4"}));
+    EXPECT_EQ(plan.base.machine.engineScan, EngineScan::full);
+    ASSERT_EQ(plan.base.params.size(), 2u);
+    EXPECT_EQ(plan.base.params[0].name, "damping");
+    EXPECT_DOUBLE_EQ(plan.base.params[0].value, 0.9);
+    EXPECT_EQ(plan.base.params[1].name, "iterations");
+    EXPECT_DOUBLE_EQ(plan.base.params[1].value, 20.0);
 
     std::string out;
     std::string err;
@@ -522,9 +529,9 @@ TEST(SweepParse, EngineBarrierAndRebalanceFlags)
     const SweepParseResult parsed =
         parseSweepArgs(static_cast<int>(args.size()), args.data());
     ASSERT_TRUE(parsed.ok) << parsed.error;
-    EXPECT_EQ(parsed.options.plan.engineBarrier,
+    EXPECT_EQ(parsed.options.plan.base.machine.engineBarrier,
               EngineBarrier::central);
-    EXPECT_TRUE(parsed.options.plan.engineRebalance);
+    EXPECT_TRUE(parsed.options.plan.base.machine.engineRebalance);
 
     std::string out;
     std::string err;
@@ -577,15 +584,12 @@ TEST(SweepParse, RepeatedAxisFlagsAppendConsistently)
         parseSweepArgs(static_cast<int>(args.size()), args.data());
     ASSERT_TRUE(parsed.ok) << parsed.error;
     const Plan& plan = parsed.options.plan;
-    EXPECT_EQ(plan.topologies,
-              (std::vector<NocTopology>{NocTopology::mesh,
-                                        NocTopology::torus}));
-    EXPECT_EQ(plan.kernels,
-              (std::vector<const KernelInfo*>{kernelOrDie("bfs"),
-                                              kernelOrDie("wcc")}));
-    EXPECT_EQ(plan.policies,
-              (std::vector<SchedPolicy>{SchedPolicy::roundRobin,
-                                        SchedPolicy::trafficAware}));
+    EXPECT_EQ(plan.axes.at("topology"),
+              (std::vector<std::string>{"mesh", "torus"}));
+    EXPECT_EQ(plan.axes.at("kernel"),
+              (std::vector<std::string>{"bfs", "wcc"}));
+    EXPECT_EQ(plan.axes.at("policy"),
+              (std::vector<std::string>{"round-robin", "traffic-aware"}));
 }
 
 TEST(RunAggregate, WorkersShareOneDatasetBuild)
@@ -595,10 +599,10 @@ TEST(RunAggregate, WorkersShareOneDatasetBuild)
     // and points touch it.
     datasetCacheClear();
     Plan plan;
-    plan.kernels = {kernelOrDie("bfs"), kernelOrDie("wcc")};
+    plan.axes["kernel"] = {"bfs", "wcc"};
     plan.datasets = {{"", 8}};
     plan.grids = {{2, 2}, {4, 4}};
-    plan.seed = 3;
+    plan.base.seed = 3;
     const RunResult result = run(expand(plan), 4);
     ASSERT_TRUE(result.ok) << result.error;
     ASSERT_TRUE(result.allRowsOk());
@@ -668,9 +672,9 @@ TEST(SweepMain, FileDatasetMatchesItsGeneratedTwin)
     }
     const std::string file_name = "file:" + path;
     Plan plan;
-    plan.kernels = {kernelOrDie("bfs")};
+    plan.axes["kernel"] = {"bfs"};
     plan.grids = {{2, 2}};
-    plan.seed = 3;
+    plan.base.seed = 3;
     plan.datasets = {{"rmat8", 0}, {file_name, 0}};
     const RunResult result = run(expand(plan), 1);
     ASSERT_TRUE(result.ok) << result.error;
