@@ -81,6 +81,11 @@ expand(const Plan& plan)
             set(o, "dataset_scale", std::to_string(ds.scale));
         }
     };
+    for (const auto& [key, values] : plan.axes) {
+        const cli::Axis* axis = cli::findAxis(key, cli::onServe);
+        if (axis == nullptr || !axis->perPoint)
+            return fail(key + " is not a per-point axis");
+    }
     for (const DatasetSpec& ds : plan.datasets) {
         cli::Options probe;
         setDataset(probe, ds);
@@ -104,7 +109,6 @@ expand(const Plan& plan)
             }
         points = std::move(crossed);
     };
-    std::size_t listed = 0;
     for (const cli::Axis& axis : cli::scenarioAxes()) {
         const std::string key = axis.key;
         const auto list = plan.axes.find(key);
@@ -115,12 +119,10 @@ expand(const Plan& plan)
                 set(o, "width", std::to_string(g.width));
                 set(o, "height", std::to_string(g.height));
             });
-        } else if (axis.perPoint && list != plan.axes.end()) {
-            ++listed;
+        } else if (list != plan.axes.end()) {
             cross(list->second,
                   [&](cli::Options& o, const std::string& text) {
-                      if (error.empty())
-                          cli::parseAxis(axis, text, key, o, error);
+                      set(o, axis.key, text);
                   });
         } else {
             continue;
@@ -131,12 +133,6 @@ expand(const Plan& plan)
     }
     if (!error.empty())
         return fail(error);
-    if (listed != plan.axes.size())
-        for (const auto& [key, values] : plan.axes) {
-            const cli::Axis* axis = cli::findAxis(key, cli::onServe);
-            if (axis == nullptr || !axis->perPoint)
-                return fail(key + " is not a per-point axis");
-        }
 
     ExpandResult result;
     result.baseline = plan.baseline.tiles() > 0 ? plan.baseline
