@@ -85,10 +85,14 @@ struct Column
         [[maybe_unused]] const cli::Report& r = row.report;           \
         return expr;                                                  \
     }
-#define TEXT(expr) Format::text, 0, GETTER(std::string, expr), nullptr, nullptr
-#define COUNT(expr) Format::count, 0, nullptr, GETTER(std::uint64_t, expr), nullptr
-#define FLAG(expr) Format::flag, 0, nullptr, GETTER(std::uint64_t, expr), nullptr
-#define FIXED(digits, expr) Format::fixed, digits, nullptr, nullptr, GETTER(double, expr)
+#define TEXT(expr)                                                    \
+    Format::text, 0, GETTER(std::string, expr), nullptr, nullptr
+#define COUNT(expr)                                                   \
+    Format::count, 0, nullptr, GETTER(std::uint64_t, expr), nullptr
+#define FLAG(expr)                                                    \
+    Format::flag, 0, nullptr, GETTER(std::uint64_t, expr), nullptr
+#define FIXED(digits, expr)                                           \
+    Format::fixed, digits, nullptr, nullptr, GETTER(double, expr)
 #define SCI(expr) Format::sci, 3, nullptr, nullptr, GETTER(double, expr)
 
 /** Every sweep-row column, in rendered order. */
